@@ -1,12 +1,8 @@
-"""Hot numerical kernels with numba and pure-numpy implementations.
-
-Each kernel has a ``_numpy`` vectorized version and a ``_numba`` loop
-version; the public name dispatches on ``_accel.JIT_ENABLED`` (env flag
-``GW_NUMBA``).  Results agree up to floating-point reassociation.
+"""Hot numerical kernels, vectorized over the evaluation points.
 
 Kernels:
   * hermite_table        -- orthonormal Hermite values by three-term recurrence
-  * wigner_pair_table    -- closed-form pair transform table W[k,l] on a grid
+  * wigner_pair_table    -- pair transform table W[k,l] in Laguerre closed form
   * bargmann_pair_table  -- closed-form anti-holomorphic pair table B[k,l]
   * chain_contract       -- nearest-neighbour Fourier chain contraction
 """
@@ -14,9 +10,6 @@ Kernels:
 import math
 
 import numpy as np
-from scipy.special import gammaln
-
-from ._accel import JIT_ENABLED, njit
 
 
 def sqrt_factorials(deg: int) -> np.ndarray:
@@ -27,12 +20,23 @@ def sqrt_factorials(deg: int) -> np.ndarray:
     return out
 
 
+def _scaled_powers(s, deg):
+    """Rows s^p / sqrt(p!) for p = 0..deg."""
+    out = np.empty((deg + 1, s.shape[0]), dtype=np.complex128)
+    out[0] = 1.0
+    for p in range(deg):
+        out[p + 1] = out[p] * s / math.sqrt(p + 1)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Orthonormal Hermite recurrence (probabilists', unit-normal weight).
 # e_0 = 1, e_1 = t, e_{k+1} = (t e_k - sqrt(k) e_{k-1}) / sqrt(k+1).
 # ---------------------------------------------------------------------------
 
-def _hermite_table_numpy(t, deg):
+def hermite_table(t, deg: int) -> np.ndarray:
+    """Values e_k(t_i), shape (deg+1, len(t)), unit-normal orthonormal family."""
+    t = np.ascontiguousarray(t, dtype=np.float64)
     out = np.empty((deg + 1, t.shape[0]))
     out[0] = 1.0
     if deg >= 1:
@@ -42,100 +46,37 @@ def _hermite_table_numpy(t, deg):
     return out
 
 
-@njit
-def _hermite_table_numba(t, deg):
-    n = t.shape[0]
-    out = np.empty((deg + 1, n))
-    for i in range(n):
-        out[0, i] = 1.0
-    if deg >= 1:
-        for i in range(n):
-            out[1, i] = t[i]
-    for k in range(1, deg):
-        ck = math.sqrt(k)
-        ck1 = 1.0 / math.sqrt(k + 1)
-        for i in range(n):
-            out[k + 1, i] = (t[i] * out[k, i] - ck * out[k - 1, i]) * ck1
-    return out
-
-
-def hermite_table(t, deg: int) -> np.ndarray:
-    """Values e_k(t_i), shape (deg+1, len(t)), unit-normal orthonormal family."""
-    t = np.ascontiguousarray(t, dtype=np.float64)
-    if JIT_ENABLED:
-        return _hermite_table_numba(t, deg)
-    return _hermite_table_numpy(t, deg)
-
-
 # ---------------------------------------------------------------------------
-# Pair transform table.  With s = sqrt(2/h) (z + i zeta),
-#   W[k, l](s) = sqrt(k! l!) sum_m (-1)^m / (m! (k-m)! (l-m)!)
-#                 conj(s)^(k-m) s^(l-m),   0 <= m <= min(k, l).
-# W[k, l] is the phase-space pair transform of basis elements (k, l); the
-# coefficients are evaluated through log-Gamma for stability.
+# Pair transform table: the Fock-state Wigner function.  With
+# s = sqrt(2/h) (z + i zeta), x = |s|^2 and offset d = l - k >= 0,
+#   W[k, l](s) = (-1)^k sqrt(k!/l!) s^d L_k^(d)(x),   W[l, k] = conj(W[k, l]).
+# Q_k^(d) = (-1)^k sqrt(k! d!/(k+d)!) L_k^(d)(x) obeys the Laguerre three-term
+# recurrence in k, normalised so that Q_0 = 1:
+#   Q_{k+1} = ((x - 2k - 1 - d) Q_k - sqrt(k (k+d)) Q_{k-1})
+#             / sqrt((k+1) (k+1+d)),
+# and W[k, k+d] = Q_k^(d) s^d / sqrt(d!).  All offsets advance together, so
+# the table costs O(deg^2) vector operations and has no alternating sum.
 # ---------------------------------------------------------------------------
-
-def _pair_coeffs(deg):
-    """coef[k, l, m] with zeros for m > min(k, l)."""
-    coef = np.zeros((deg + 1, deg + 1, deg + 1))
-    for k in range(deg + 1):
-        for l in range(deg + 1):
-            m = np.arange(min(k, l) + 1)
-            logc = (
-                0.5 * (gammaln(k + 1) + gammaln(l + 1))
-                - gammaln(m + 1)
-                - gammaln(k - m + 1)
-                - gammaln(l - m + 1)
-            )
-            coef[k, l, : m.size] = (-1.0) ** m * np.exp(logc)
-    return coef
-
-
-def _wigner_pair_table_numpy(s, deg):
-    n = s.shape[0]
-    powers = np.empty((deg + 1, n), dtype=np.complex128)
-    powers[0] = 1.0
-    for p in range(deg):
-        powers[p + 1] = powers[p] * s
-    cpowers = np.conj(powers)
-    coef = _pair_coeffs(deg)
-    out = np.empty((deg + 1, deg + 1, n), dtype=np.complex128)
-    for k in range(deg + 1):
-        for l in range(deg + 1):
-            acc = np.zeros(n, dtype=np.complex128)
-            for m in range(min(k, l) + 1):
-                acc += coef[k, l, m] * cpowers[k - m] * powers[l - m]
-            out[k, l] = acc
-    return out
-
-
-@njit
-def _wigner_pair_table_numba(s, deg, coef):
-    n = s.shape[0]
-    powers = np.empty((deg + 1, n), dtype=np.complex128)
-    for i in range(n):
-        powers[0, i] = 1.0 + 0.0j
-    for p in range(deg):
-        for i in range(n):
-            powers[p + 1, i] = powers[p, i] * s[i]
-    out = np.empty((deg + 1, deg + 1, n), dtype=np.complex128)
-    for k in range(deg + 1):
-        for l in range(deg + 1):
-            mmax = min(k, l)
-            for i in range(n):
-                acc = 0.0 + 0.0j
-                for m in range(mmax + 1):
-                    acc += coef[k, l, m] * np.conj(powers[k - m, i]) * powers[l - m, i]
-                out[k, l, i] = acc
-    return out
-
 
 def wigner_pair_table(s, deg: int) -> np.ndarray:
     """W[k, l] on a flat grid of scaled phase points s; shape (deg+1, deg+1, n)."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
-    if JIT_ENABLED:
-        return _wigner_pair_table_numba(s, deg, _pair_coeffs(deg))
-    return _wigner_pair_table_numpy(s, deg)
+    x = s.real**2 + s.imag**2
+    powers = _scaled_powers(s, deg)
+    d = np.arange(deg + 1, dtype=np.float64)[:, None]
+    out = np.empty((deg + 1, deg + 1, s.shape[0]), dtype=np.complex128)
+    prev = np.zeros((deg + 1, s.shape[0]))
+    cur = np.ones((deg + 1, s.shape[0]))
+    for k in range(deg + 1):
+        row = cur * powers[: deg + 1 - k]      # W[k, k+d] for d = 0..deg-k
+        out[k, k:] = row
+        out[k:, k] = row.conj()
+        m = deg - k                            # offsets still needed at k+1
+        dm = d[:m]
+        nxt = ((x - (2 * k + 1) - dm) * cur[:m]
+               - np.sqrt(k * (k + dm)) * prev[:m]) / np.sqrt((k + 1) * (k + 1 + dm))
+        prev, cur = cur, nxt
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -143,44 +84,11 @@ def wigner_pair_table(s, deg: int) -> np.ndarray:
 #   B[k, l](tau) = conj(tau)^k tau^l / sqrt(k! l!).
 # ---------------------------------------------------------------------------
 
-def _bargmann_pair_table_numpy(tau, deg):
-    n = tau.shape[0]
-    powers = np.empty((deg + 1, n), dtype=np.complex128)
-    powers[0] = 1.0
-    for p in range(deg):
-        powers[p + 1] = powers[p] * tau
-    sf = sqrt_factorials(deg)
-    return (
-        np.conj(powers)[:, None, :]
-        * powers[None, :, :]
-        / (sf[:, None, None] * sf[None, :, None])
-    )
-
-
-@njit
-def _bargmann_pair_table_numba(tau, deg, sf):
-    n = tau.shape[0]
-    powers = np.empty((deg + 1, n), dtype=np.complex128)
-    for i in range(n):
-        powers[0, i] = 1.0 + 0.0j
-    for p in range(deg):
-        for i in range(n):
-            powers[p + 1, i] = powers[p, i] * tau[i]
-    out = np.empty((deg + 1, deg + 1, n), dtype=np.complex128)
-    for k in range(deg + 1):
-        for l in range(deg + 1):
-            c = 1.0 / (sf[k] * sf[l])
-            for i in range(n):
-                out[k, l, i] = c * np.conj(powers[k, i]) * powers[l, i]
-    return out
-
-
 def bargmann_pair_table(tau, deg: int) -> np.ndarray:
     """B[k, l] on a flat grid of scaled phase points tau; shape (deg+1, deg+1, n)."""
     tau = np.ascontiguousarray(tau, dtype=np.complex128)
-    if JIT_ENABLED:
-        return _bargmann_pair_table_numba(tau, deg, sqrt_factorials(deg))
-    return _bargmann_pair_table_numpy(tau, deg)
+    powers = _scaled_powers(tau, deg)
+    return np.conj(powers)[:, None, :] * powers[None, :, :]
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +102,14 @@ def bargmann_pair_table(tau, deg: int) -> np.ndarray:
 #                     prod_j U[j, m_j, k_j, l_j]
 #
 # with site frequencies m_0 = n_0, m_j = n_j - n_{j-1}, m_{D-1} = -n_{D-2};
-# the output is returned flattened in kron (row-major per-site) order.
-#
-# The staged (tensor-train) numpy contraction is BLAS-bound and beats a
-# per-term loop asymptotically, so it is the production path regardless of
-# the backend flag; the numba term-loop version is kept for the benchmark.
+# the output is returned flattened in kron (row-major per-site) order.  It is
+# staged as a tensor train: one BLAS contraction per bond.
 # ---------------------------------------------------------------------------
 
-def _chain_contract_numpy(U, a, moff, noff):
+def chain_contract(U, a, moff: int, noff: int) -> np.ndarray:
+    """Contract site tables along the bond chain; see the comment above."""
+    U = np.ascontiguousarray(U, dtype=np.complex128)
+    a = np.ascontiguousarray(a, dtype=np.complex128)
     D = U.shape[0]
     d = U.shape[2]
     nn = a.shape[1]
@@ -228,60 +136,3 @@ def _chain_contract_numpy(U, a, moff, noff):
     # axes currently (k_0, l_0, k_1, l_1, ...): split k's from l's
     perm = list(range(0, 2 * D, 2)) + list(range(1, 2 * D, 2))
     return out.transpose(perm).reshape(full, full)
-
-
-@njit
-def _chain_contract_numba(U, a, moff, noff, terms):
-    D = U.shape[0]
-    d = U.shape[2]
-    full = d ** D
-    out = np.zeros((full, full), dtype=np.complex128)
-    T = terms.shape[0]
-    for t in range(T):
-        w = 1.0 + 0.0j
-        for b in range(D - 1):
-            w *= a[b, terms[t, b] + noff]
-        # accumulate the kron product of the D site matrices for this term
-        cur = np.zeros((1, 1), dtype=np.complex128)
-        cur[0, 0] = w
-        size = 1
-        for j in range(D):
-            if j == 0:
-                m = terms[t, 0]
-            elif j == D - 1:
-                m = -terms[t, D - 2]
-            else:
-                m = terms[t, j] - terms[t, j - 1]
-            Uj = U[j, m + moff]
-            nxt = np.empty((size * d, size * d), dtype=np.complex128)
-            for r in range(size):
-                for c in range(size):
-                    v = cur[r, c]
-                    for kk in range(d):
-                        for ll in range(d):
-                            nxt[r * d + kk, c * d + ll] = v * Uj[kk, ll]
-            cur = nxt
-            size *= d
-        out += cur
-    return out
-
-
-def chain_contract(U, a, moff: int, noff: int) -> np.ndarray:
-    """Contract site tables along the bond chain; see module docstring."""
-    U = np.ascontiguousarray(U, dtype=np.complex128)
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    return _chain_contract_numpy(U, a, moff, noff)
-
-
-def chain_contract_termloop(U, a, moff: int, noff: int) -> np.ndarray:
-    """Per-term loop variant of chain_contract (benchmark reference)."""
-    U = np.ascontiguousarray(U, dtype=np.complex128)
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    D = U.shape[0]
-    if D == 1:
-        return _chain_contract_numpy(U, a, moff, noff)
-    nn = a.shape[1]
-    ns = np.arange(nn) - noff
-    grids = np.meshgrid(*([ns] * (D - 1)), indexing="ij")
-    terms = np.stack([g.ravel() for g in grids], axis=-1).astype(np.int64)
-    return _chain_contract_numba(U, a, moff, noff, terms)

@@ -9,8 +9,7 @@ sufficient to reproduce them bit-identically.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 numerical
 diagnostic failure, 4 resource cap.  Environment: GW_MAX_NODES bounds
-quadrature grids, GW_MAX_SUBSETS bounds 2^|I| subset expansions, GW_NUMBA
-selects the accelerated or pure-numpy kernels.
+quadrature grids, GW_MAX_SUBSETS bounds 2^|I| subset expansions.
 """
 
 import argparse

@@ -109,40 +109,12 @@ class OperatorMatrix:
         return OperatorMatrix(basis, flat.reshape(n, n), data.get("meta", {}))
 
 
-def operator_norm(A, tol: float = 1e-6, max_iter: int = 5000,
-                  block: int = 6) -> float:
-    """Largest singular value by block power iteration on A*A.
-
-    Orthogonal iteration with a small block and Rayleigh-Ritz extraction;
-    the block makes (near-)degenerate top singular values converge at the
-    rate set by the first singular value outside the block.  Stops when the
-    top Ritz residual ||A*A v - theta v|| <= 0.4 tol theta, which bounds the
-    relative eigenvalue error for the Hermitian iteration matrix; raises
-    NumericalError when the iteration cap is hit first.
-    """
+def operator_norm(A) -> float:
+    """Spectral norm (largest singular value) by a dense SVD; 0.0 if empty."""
     M = A.entries if isinstance(A, OperatorMatrix) else np.asarray(A, dtype=complex)
-    n = M.shape[0]
-    if n == 0:
+    if M.size == 0:
         return 0.0
-    if np.max(np.abs(M)) == 0.0:
-        return 0.0
-    b = min(block, n)
-    # deterministic full-rank start block
-    idx = np.arange(n)
-    V = np.cos(np.outer(idx + 1, np.arange(1, b + 1)) * 0.7) \
-        + 1j * np.sin(np.outer(idx + 1, np.arange(1, b + 1)) * 0.3)
-    V, _ = np.linalg.qr(V)
-    for _ in range(max_iter):
-        W = M.conj().T @ (M @ V)
-        S = V.conj().T @ W                     # Rayleigh-Ritz block
-        theta, U = np.linalg.eigh(0.5 * (S + S.conj().T))
-        top = float(theta[-1])
-        v = V @ U[:, -1]
-        r = W @ U[:, -1] - top * v
-        if top > 0.0 and np.linalg.norm(r) <= 0.4 * tol * top:
-            return math.sqrt(top)
-        V, _ = np.linalg.qr(W)
-    raise NumericalError(f"power iteration did not converge in {max_iter} steps")
+    return float(np.linalg.norm(M, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 import json
+import math
 import os
 
 import numpy as np
+import pytest
 
+from gweyl import HermiteBasis, make_exponential
 from gweyl.cli import main
+from gweyl.quantize import oracle_U, weyl_matrix
+
+H = 0.5
 
 
 def run_cli(args):
@@ -30,6 +36,44 @@ def test_quantize_exponential_with_oracle_residual(tmp_path, capsys):
     assert op["basis"] == {"dim": 1, "h": 0.5, "max_degree": 10}
     assert len(op["entries"]) == 11 * 11
     assert "config_hash" in op["meta"]
+
+
+# Single-atom exponentials in dim >= 2: compressions of a near-unitary with
+# near-degenerate top singular values.  Weyl(F) is the oracle U itself and
+# anti-Wick(F) = exp(-h(|a|^2+|b|^2)/4) U.
+EXP_2D = {"a": [1.1, 0.4], "b": [-0.6, 0.3]}
+EXP_3D = {"a": [1.0, -0.5, 0.3], "b": [0.2, 0.8, -0.4]}
+
+
+@pytest.mark.parametrize("ab, method, degree", [
+    (EXP_2D, "weyl", 10),
+    (EXP_3D, "antiwick", 3),
+], ids=["weyl-2d", "antiwick-3d"])
+def test_quantize_exponential_norm_is_exact(tmp_path, ab, method, degree):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "q.json", {
+        "symbol": {"family": "exponential", **ab},
+        "method": method, "h": H, "degree": degree, "out": str(out),
+    })
+    assert run_cli(["quantize", "--config", cfg]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    a, b = np.array(ab["a"]), np.array(ab["b"])
+    U = oracle_U(a, b, H, HermiteBasis(a.size, H, degree)).entries
+    scale = 1.0 if method == "weyl" else math.exp(-0.25 * H * (a @ a + b @ b))
+    assert abs(summary["norm"] - scale * np.linalg.norm(U, 2)) < 1e-10
+
+
+def test_converge_exponential_final_norm(tmp_path):
+    out = tmp_path / "conv"
+    cfg = write_cfg(tmp_path, "e.json", {
+        "symbol": {"family": "exponential", **EXP_3D},
+        "h": H, "degree": 3, "out": str(out),
+    })
+    assert run_cli(["converge", "--config", cfg]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    F = make_exponential(EXP_3D["a"], EXP_3D["b"])
+    want = np.linalg.norm(weyl_matrix(F, HermiteBasis(3, H, 3)).entries, 2)
+    assert abs(summary["final_norm"] - want) < 1e-10
 
 
 def test_quantize_constant_gives_identity(tmp_path):

@@ -37,6 +37,14 @@ def test_orthonormality_dims_1_and_2():
         assert off < 1e-8
 
 
+def test_sqrt_factorials():
+    from gweyl._kernels import sqrt_factorials
+
+    np.testing.assert_allclose(sqrt_factorials(5),
+                               [math.sqrt(math.factorial(k)) for k in range(6)],
+                               rtol=1e-14)
+
+
 def test_graded_lex_ordering():
     idx = multi_indices(2, 2)
     totals = idx.sum(axis=1)

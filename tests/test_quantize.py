@@ -275,6 +275,19 @@ def test_oracle_U_frozen_high_precision_entry():
     assert abs(U.entries[2, 1] - want) < 1e-12
 
 
+@pytest.mark.parametrize("degree", [16, 24, 30])
+def test_weyl_exponential_matches_oracle_at_high_degree(degree):
+    # the pair table must stay exact where an alternating sum over the
+    # Laguerre coefficients would cancel catastrophically
+    rng = np.random.default_rng(degree)
+    basis = HermiteBasis(1, H, degree)
+    for _ in range(3):
+        a, b = rng.uniform(-2, 2, 1), rng.uniform(-2, 2, 1)
+        M = weyl_matrix(make_exponential(a, b), basis)
+        U = oracle_U(a, b, H, basis)
+        assert np.abs(M.entries - U.entries).max() < 1e-10
+
+
 def test_oracle_U_coherent_matrix_elements():
     h = H
     basis = HermiteBasis(1, h, 40)

@@ -60,6 +60,21 @@ def test_pair_transform_frozen_high_precision_values():
         assert abs(direct - val) < 1e-10
 
 
+def test_tables_match_quadrature_definition():
+    # the closed-form pair table equals the direct oscillatory quadrature
+    from gweyl._kernels import wigner_pair_table
+
+    h = 0.5
+    basis = HermiteBasis(1, h, 5)
+    Z = PhasePoint([0.7], [-0.4])
+    s = np.array([math.sqrt(2 / h) * (Z.x[0] + 1j * Z.xi[0])])
+    W = wigner_pair_table(s, 5)
+    for k, l in [(0, 0), (1, 3), (4, 2)]:
+        direct = wigner_gauss(basis_element(basis, [k]),
+                              basis_element(basis, [l]), Z)
+        assert abs(direct - W[k, l, 0]) < 1e-10
+
+
 def test_pair_transform_matches_kernel_route(rng):
     basis = HermiteBasis(1, 0.5, 6)
     for _ in range(3):
