@@ -26,7 +26,12 @@ the oscillatory integral
                   dy dxi
 
 on a uniform Simpson grid, conjugated into the Gaussian-measure basis by the
-gamma map, and validates its own resolution on F = 1 before every run.
+gamma map, and validates its own resolution on F = 1 before every run.  On
+that grid the midpoints (x+y)/2 and the differences x-y each take 2nx - 1
+lattice values, so the xi-integral is one matrix product of F on the
+(midpoint, xi) lattice against exp(i xi (x-y) / h) on the (xi, difference)
+lattice, read back at (i+j, i-j): O(nx nxi) symbol values and phases instead
+of nx^2 nxi.
 
 The truncation ladder sums hybrid operators of difference products T_I F
 over subsets I of an increasing coordinate family and compares successive
@@ -96,7 +101,7 @@ class OperatorMatrix:
                     "max_degree": self.basis.max_degree,
                 },
                 "meta": self.meta,
-                "entries": [[float(z.real), float(z.imag)] for z in flat],
+                "entries": np.stack([flat.real, flat.imag], axis=1).tolist(),
             }
         )
 
@@ -105,7 +110,7 @@ class OperatorMatrix:
         data = json.loads(text)
         basis = HermiteBasis(**data["basis"])
         n = basis.size
-        flat = np.array([complex(re, im) for re, im in data["entries"]])
+        flat = np.asarray(data["entries"], dtype=float).view(complex)
         return OperatorMatrix(basis, flat.reshape(n, n), data.get("meta", {}))
 
 
@@ -164,6 +169,9 @@ def _reindex(kron_matrix: np.ndarray, basis: HermiteBasis) -> np.ndarray:
 # assembly paths
 # ---------------------------------------------------------------------------
 
+_DENSE_BLOCK = 64     # first-coordinate nodes per block of the dim-2 grid
+
+
 def _assemble_dense(F: SymbolDescriptor, basis: HermiteBasis, modes,
                     order: int | None) -> np.ndarray:
     D, h, deg = basis.dim, basis.h, basis.max_degree
@@ -179,15 +187,21 @@ def _assemble_dense(F: SymbolDescriptor, basis: HermiteBasis, modes,
     else:
         (n1, w1), (n2, w2) = grids
         q1, q2 = n1.shape[0], n2.shape[0]
-        z = np.empty((q1, q2, 2))
-        ze = np.empty((q1, q2, 2))
-        z[..., 0] = n1[:, 0][:, None]
-        ze[..., 0] = n1[:, 1][:, None]
-        z[..., 1] = n2[:, 0][None, :]
-        ze[..., 1] = n2[:, 1][None, :]
-        vals = F(z.reshape(-1, 2), ze.reshape(-1, 2)).reshape(q1, q2)
-        G = (w1[:, None] * w2[None, :]) * vals
-        A = np.einsum("xy,aby->xab", G, tables[1], optimize=True)
+        # F is evaluated and contracted against the second coordinate's table
+        # a block of first-coordinate nodes at a time, which bounds the
+        # memory of the q1 x q2 tensor grid.
+        A = np.empty((q1, deg + 1, deg + 1), dtype=complex)
+        for x0 in range(0, q1, _DENSE_BLOCK):
+            x1 = min(x0 + _DENSE_BLOCK, q1)
+            z = np.empty((x1 - x0, q2, 2))
+            ze = np.empty((x1 - x0, q2, 2))
+            z[..., 0] = n1[x0:x1, 0][:, None]
+            ze[..., 0] = n1[x0:x1, 1][:, None]
+            z[..., 1] = n2[:, 0][None, :]
+            ze[..., 1] = n2[:, 1][None, :]
+            vals = F(z.reshape(-1, 2), ze.reshape(-1, 2)).reshape(x1 - x0, q2)
+            G = (w1[x0:x1, None] * w2[None, :]) * vals
+            A[x0:x1] = np.einsum("xy,aby->xab", G, tables[1], optimize=True)
         K = np.einsum("abx,xcd->bdac", tables[0], A, optimize=True)
         dd = deg + 1
         kron = K.reshape(dd * dd, dd * dd)
@@ -355,18 +369,24 @@ def _classical_grid(basis: HermiteBasis, shift: float, oversample: float):
 
 
 def _classical_1d(F, basis: HermiteBasis, xs, wx, xis, wxi) -> np.ndarray:
-    h = basis.h
+    # On the uniform grid xs the midpoints (x_i + x_j)/2 sit on a lattice of
+    # 2nx - 1 points indexed by i + j, and the differences x_i - x_j on one
+    # indexed by i - j + nx - 1.  The xi-quadrature of the kernel is then one
+    # product G = (F(mids, xi) w_xi) @ exp(i xi diffs / h), and the kernel is
+    # the gather M1[i, j] = G[i + j, i - j + nx - 1].
+    h, nx = basis.h, xs.size
     gb = np.array([
         np.asarray(gamma_map(FunctionRep(basis, _unit(basis.size, k)), xs[:, None]))
         for k in range(basis.size)
     ])
-    mid = 0.5 * (xs[:, None] + xs[None, :])
-    diff = xs[:, None] - xs[None, :]
-    M1 = np.zeros((xs.size, xs.size), dtype=complex)
-    flat_mid = mid.reshape(-1, 1)
-    for k, xi in enumerate(xis):
-        fv = F(flat_mid, np.full_like(flat_mid, xi)).reshape(mid.shape)
-        M1 += (wxi[k] * fv) * np.exp(1j * diff * xi / h)
+    mids = np.linspace(xs[0], xs[-1], 2 * nx - 1)
+    diffs = (xs[1] - xs[0]) * np.arange(1 - nx, nx)
+    z = np.repeat(mids, xis.size)[:, None]
+    zeta = np.tile(xis, mids.size)[:, None]
+    fv = F(z, zeta).reshape(mids.size, xis.size)
+    G = (fv * wxi[None, :]) @ np.exp(1j * xis[:, None] * diffs[None, :] / h)
+    i = np.arange(nx)
+    M1 = G[i[:, None] + i[None, :], i[:, None] - i[None, :] + nx - 1]
     gw = gb * wx[None, :]
     return (gw.conj() @ M1 @ gw.T) / (2.0 * math.pi * h)
 
@@ -377,7 +397,8 @@ def _unit(n, k):
     return v
 
 
-_DIAG_CACHE = {}
+_DIAG_CACHE = {}      # identity residual per grid, oldest evicted first
+_DIAG_CACHE_CAP = 16
 
 
 def weyl_matrix_classical(F: SymbolDescriptor, basis: HermiteBasis,
@@ -408,6 +429,8 @@ def weyl_matrix_classical(F: SymbolDescriptor, basis: HermiteBasis,
             ident = _classical_1d(one, basis, xs, wx, xis, wxi)
             resid = float(np.max(np.abs(ident - np.eye(basis.size))))
             _DIAG_CACHE[key] = resid
+            if len(_DIAG_CACHE) > _DIAG_CACHE_CAP:
+                del _DIAG_CACHE[next(iter(_DIAG_CACHE))]
         resid = _DIAG_CACHE[key]
         if resid > diag_tol:
             raise NumericalError(

@@ -157,6 +157,68 @@ def test_classical_vs_form_random_bounded(rng):
         assert np.abs(Mc.entries - Mw.entries).max() < 1e-4
 
 
+def _classical_1d_xi_loop(F, basis, xs, wx, xis, wxi):
+    # brute-force reference: F and the phase at every (x, y, xi) triple
+    from gweyl.hermite import FunctionRep, gamma_map
+
+    h = basis.h
+    gb = np.array([
+        np.asarray(gamma_map(FunctionRep(basis, np.eye(basis.size)[k]),
+                             xs[:, None]))
+        for k in range(basis.size)
+    ])
+    mid = 0.5 * (xs[:, None] + xs[None, :])
+    diff = xs[:, None] - xs[None, :]
+    M1 = np.zeros((xs.size, xs.size), dtype=complex)
+    flat_mid = mid.reshape(-1, 1)
+    for k, xi in enumerate(xis):
+        fv = F(flat_mid, np.full_like(flat_mid, xi)).reshape(mid.shape)
+        M1 += (wxi[k] * fv) * np.exp(1j * diff * xi / h)
+    gw = gb * wx[None, :]
+    return (gw.conj() @ M1 @ gw.T) / (2.0 * math.pi * h)
+
+
+def test_classical_factored_kernel_matches_xi_loop(rng):
+    from gweyl.quantize import _classical_1d, _simpson_weights
+
+    basis = HermiteBasis(1, H, 6)
+    xs, xis = np.linspace(-6.0, 6.0, 41), np.linspace(-5.0, 5.0, 61)
+    wx = _simpson_weights(xs.size, xs[1] - xs[0])
+    wxi = _simpson_weights(xis.size, xis[1] - xis[0])
+    quad = SymbolDescriptor(
+        1, lambda z, zeta: np.exp(-0.3 * z[:, 0] ** 2 - 0.4 * z[:, 0] * zeta[:, 0]
+                                  - 0.5 * zeta[:, 0] ** 2 + 0.7j * z[:, 0]),
+        name="quadratic",
+    )
+    for F in (random_trig_symbol(rng, positive=False), quad):
+        got = _classical_1d(F, basis, xs, wx, xis, wxi)
+        want = _classical_1d_xi_loop(F, basis, xs, wx, xis, wxi)
+        assert np.abs(got - want).max() < 1e-12
+
+
+def test_classical_matches_weyl_at_degree_16():
+    basis = HermiteBasis(1, H, 16)
+    F = make_exponential([0.7], [-0.4])
+    Mc = weyl_matrix_classical(F, basis)
+    Mw = weyl_matrix(F, basis)
+    assert np.abs(Mc.entries - Mw.entries).max() < 1e-10
+
+
+def test_classical_identity_cache_is_bounded(monkeypatch):
+    import gweyl.quantize as q
+
+    monkeypatch.setattr(q, "_DIAG_CACHE", {})
+    monkeypatch.setattr(q, "_DIAG_CACHE_CAP", 2)
+    one = make_constant(1.0, 1)
+    grids = []
+    for deg in (1, 2, 3):
+        M = weyl_matrix_classical(one, HermiteBasis(1, H, deg), oversample=1.5)
+        grids.append(M.meta["grid"])
+    assert len(q._DIAG_CACHE) == 2
+    assert sorted(key[4] for key in q._DIAG_CACHE) == \
+        sorted(g[1] for g in grids[1:])
+
+
 def test_classical_resolution_diagnostic(monkeypatch):
     from gweyl.errors import NumericalError
     import gweyl.quantize as q
@@ -223,6 +285,24 @@ def test_hybrid_edge_splits(rng):
     assert np.array_equal(
         hybrid_matrix(F, CoordinateSplit(1, ()), basis).entries, Ma.entries
     )
+
+
+def test_dense_dim2_blocks_match_kron_of_dim1():
+    # a separable generic symbol: the blocked dim-2 grid must reproduce the
+    # tensor product of the two dim-1 dense matrices; order 10 gives 100
+    # first-coordinate nodes, so the last block of rows is partial
+    f1 = lambda z, zeta: np.exp(-0.3 * z**2 - 0.2 * z * zeta - 0.6 * zeta**2)
+    f2 = lambda z, zeta: np.exp(-0.5 * z**2 + 0.1 * z * zeta - 0.4 * zeta**2
+                                + 0.8j * zeta)
+    F = SymbolDescriptor(2, lambda z, zeta: f1(z[:, 0], zeta[:, 0])
+                         * f2(z[:, 1], zeta[:, 1]), name="separable")
+    F1 = SymbolDescriptor(1, lambda z, zeta: f1(z[:, 0], zeta[:, 0]))
+    F2 = SymbolDescriptor(1, lambda z, zeta: f2(z[:, 0], zeta[:, 0]))
+    basis, b1 = HermiteBasis(2, H, 3), HermiteBasis(1, H, 3)
+    M = hybrid_matrix(F, CoordinateSplit(2, (0,)), basis, order=10)
+    want = _reindex(np.kron(weyl_matrix(F1, b1, order=10).entries,
+                            antiwick_matrix(F2, b1, order=10).entries), basis)
+    assert np.abs(M.entries - want).max() < 1e-13
 
 
 def test_hybrid_tensor_factorization():
@@ -560,3 +640,14 @@ def test_operator_matrix_json_roundtrip(rng):
     payload = json.loads(M.to_json())
     assert payload["basis"] == {"dim": 1, "h": H, "max_degree": 5}
     assert len(payload["entries"]) == basis.size**2
+    # one [re, im] pair per entry, and the round trip is exact, signed zeros
+    # included
+    M.entries[0, 1] = complex(-0.0, -0.0)
+    text = M.to_json()
+    assert text == json.dumps({
+        "basis": payload["basis"], "meta": M.meta,
+        "entries": [[float(z.real), float(z.imag)] for z in M.entries.ravel()],
+    })
+    back = OperatorMatrix.from_json(text)
+    assert back.entries.tobytes() == M.entries.tobytes()
+    assert back.to_json() == text
