@@ -15,9 +15,13 @@ where per coordinate the pair factor G and the measure nu are
 
 A hybrid operator uses "weyl" on a selected coordinate block and "aw" on the
 complement; the all-selected and none-selected cases are the symmetric and
-the positive quantization.  Symbols with Fourier-atom or nearest-neighbour
-chain structure assemble per coordinate in closed form at any dimension;
-generic symbols use a dense tensor grid (dim <= 2).
+the positive quantization.  A Fourier atom e^{i(a z + b zeta)} needs no
+quadrature: per coordinate it quantizes to a displacement operator, the
+symmetric pair table at the single point (-h b/2, -h a/2) with column parity
+(-1)^l, times exp(-v (a^2 + b^2) / 2) for the coordinate's variance v, so
+Fourier-measure symbols assemble in closed form at any dimension and degree.
+Nearest-neighbour chain symbols assemble from per-site quadrature tables at
+any dimension; generic symbols use a dense tensor grid (dim <= 2).
 
 The independent oracle ``weyl_matrix_classical`` builds the operator from
 the oscillatory integral
@@ -40,7 +44,9 @@ spectral-norm differences with the bound
     ||Op^{hyb,I}(T_I F)|| <= M (81 pi h S_eps)^{|I|} prod_{j in I} eps_j^2,
 
 which accumulates to norm(final) <= M prod_j (1 + 81 pi h S_eps eps_j^2)
-for h in (0, 1] (S_eps = sup_j max(1, eps_j^2)).
+for h in (0, 1] (S_eps = sup_j max(1, eps_j^2)).  The full rung equals the
+Weyl matrix of F, so the truncation error bar is read from one Weyl matrix
+one degree up.
 """
 
 import csv
@@ -55,7 +61,9 @@ from ._kernels import bargmann_pair_table, chain_contract, wigner_pair_table
 from .errors import InputError, NumericalError, ResourceError
 from .gaussian import PhasePoint, tensor_rule
 from .heat import CoordinateSplit, max_subset_size, op_T_I, smooth_symbol
-from .hermite import FunctionRep, HermiteBasis, coherent_state, gamma_map
+from .hermite import (
+    MAX_STABLE_DEGREE, FunctionRep, HermiteBasis, coherent_state, gamma_map,
+)
 from .symbols import SymbolDescriptor
 
 # flipped by the mutation fixtures in the test suite; any value other than
@@ -208,32 +216,24 @@ def _assemble_dense(F: SymbolDescriptor, basis: HermiteBasis, modes,
     return _reindex(kron, basis)
 
 
-def _assemble_atoms(F: SymbolDescriptor, basis: HermiteBasis, modes,
-                    order: int | None) -> np.ndarray:
+def _assemble_atoms(F: SymbolDescriptor, basis: HermiteBasis, modes) -> np.ndarray:
+    # closed form per coordinate: see the module docstring
     D, h, deg = basis.dim, basis.h, basis.max_degree
-    max_freq = max(
-        (max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-         for _, a, b in F.atoms),
-        default=0.0,
-    )
+    c, a, b = zip(*F.atoms)
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    parity = (-1.0) ** np.arange(deg + 1)
+    factors = []
+    for j in range(D):
+        v = _mode_variance(modes[j], h)
+        node = np.stack([-0.5 * h * b[:, j], -0.5 * h * a[:, j]], axis=1)
+        tbl = _coord_table(h, "weyl", deg, node) * parity[None, :, None]
+        factors.append(tbl * np.exp(-0.5 * v * (a[:, j] ** 2 + b[:, j] ** 2)))
     out = None
-    cache = {}
-    for c, a, b in F.atoms:
-        mats = []
-        for j in range(D):
-            key = (modes[j], float(a[j]), float(b[j]))
-            if key not in cache:
-                base = order if order is not None else 64
-                q = _grid_order(modes[j], h, base, max_freq)
-                nodes, w = _coord_grid(h, modes[j], q)
-                tbl = _coord_table(h, modes[j], deg, nodes)
-                phase = np.exp(1j * (a[j] * nodes[:, 0] + b[j] * nodes[:, 1]))
-                cache[key] = np.einsum("i,lki->kl", w * phase, tbl)
-            mats.append(cache[key])
-        term = mats[0]
-        for mat in mats[1:]:
-            term = np.kron(term, mat)
-        out = c * term if out is None else out + c * term
+    for n, cn in enumerate(c):
+        term = factors[0][:, :, n]
+        for f in factors[1:]:
+            term = np.kron(term, f[:, :, n])
+        out = cn * term if out is None else out + cn * term
     return _reindex(out, basis)
 
 
@@ -288,12 +288,16 @@ def _assemble_chain(F: SymbolDescriptor, basis: HermiteBasis, modes,
 
 def hybrid_matrix(F: SymbolDescriptor, split: CoordinateSplit,
                   basis: HermiteBasis, order: int | None = None) -> OperatorMatrix:
-    """Matrix acting symmetrically on the selected block, positively elsewhere."""
+    """Matrix acting symmetrically on the selected block, positively elsewhere.
+
+    ``order`` sets the quadrature order of the chain and dense grids only;
+    Fourier-atom symbols are assembled in closed form and ignore it.
+    """
     if split.ambient_dim != basis.dim or F.dim != basis.dim:
         raise InputError("symbol, split and basis dimensions must agree")
     modes = ["weyl" if j in split.selected else "aw" for j in range(basis.dim)]
     if F.atoms is not None:
-        kron = _assemble_atoms(F, basis, modes, order)
+        kron = _assemble_atoms(F, basis, modes)
     elif F.chain is not None:
         kron = _assemble_chain(F, basis, modes, order)
     else:
@@ -623,6 +627,8 @@ def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
     For every subset I of the final rung the hybrid matrix of T_I F with
     symmetric block I is built once; rung n sums the subsets of Lambda_n, so
     successive differences are exactly the fresh-subset contributions.
+    With ``norm_check="increment"`` the report's ``norm_error_bar`` is the
+    change of the final norm at degree + 1; ``None`` skips it.
     """
     if F.class_eps is None or F.class_M is None:
         raise InputError("ladder symbols need derivative-class metadata (M, eps)")
@@ -640,15 +646,11 @@ def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
     M0 = float(F.class_M)
     S = float(max(1.0, np.max(eps**2))) if eps.size else 1.0
 
-    def subset_matrix(bas, I):
-        sym = op_T_I(F, I, h)
-        split = CoordinateSplit(bas.dim, I)
-        return hybrid_matrix(sym, split, bas, order).entries
-
     mats = {}
     for r in range(len(full) + 1):
         for I in itertools.combinations(full, r):
-            mats[I] = subset_matrix(basis, I)
+            split = CoordinateSplit(basis.dim, I)
+            mats[I] = hybrid_matrix(op_T_I(F, I, h), split, basis, order).entries
     bounds = {I: _subset_bound(M0, eps, h, S, I) for I in mats}
 
     steps = []
@@ -678,20 +680,13 @@ def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
     final_norm = steps[-1].norm
     final_bound = cv_bound(M0, eps, h)
 
+    # The ladder's full rung is Op^W(F) (anti-Wick of F is Weyl of its
+    # half-heat smoothing and F = sum_I T_I S_{Lambda \ I} F), so the
+    # truncation error bar needs only the Weyl matrix one degree up.
     error_bar = None
-    check_degree = None
-    if norm_check == "increment":
-        check_degree = basis.max_degree + 1
-    elif norm_check == "double":
-        check_degree = 2 * basis.max_degree
-    if check_degree is not None and check_degree <= 200:
-        bigger = HermiteBasis(basis.dim, basis.h, check_degree)
-        total = None
-        for r in range(len(full) + 1):
-            for I in itertools.combinations(full, r):
-                term = subset_matrix(bigger, I)
-                total = term if total is None else total + term
-        error_bar = abs(operator_norm(total) - final_norm)
+    if norm_check == "increment" and basis.max_degree < MAX_STABLE_DEGREE:
+        bigger = HermiteBasis(basis.dim, basis.h, basis.max_degree + 1)
+        error_bar = abs(weyl_matrix(F, bigger, order).norm() - final_norm)
 
     return ConvergenceReport(steps, final, final_norm, final_bound, error_bar,
                              h, eps)

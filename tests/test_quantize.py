@@ -355,17 +355,20 @@ def test_oracle_U_frozen_high_precision_entry():
     assert abs(U.entries[2, 1] - want) < 1e-12
 
 
-@pytest.mark.parametrize("degree", [16, 24, 30])
+@pytest.mark.parametrize("degree", [16, 24, 30, 64, 100])
 def test_weyl_exponential_matches_oracle_at_high_degree(degree):
     # the pair table must stay exact where an alternating sum over the
-    # Laguerre coefficients would cancel catastrophically
+    # Laguerre coefficients would cancel catastrophically, and the atom
+    # closed form where a fixed quadrature grid would under-resolve it
     rng = np.random.default_rng(degree)
     basis = HermiteBasis(1, H, degree)
     for _ in range(3):
         a, b = rng.uniform(-2, 2, 1), rng.uniform(-2, 2, 1)
-        M = weyl_matrix(make_exponential(a, b), basis)
-        U = oracle_U(a, b, H, basis)
-        assert np.abs(M.entries - U.entries).max() < 1e-10
+        F = make_exponential(a, b)
+        U = oracle_U(a, b, H, basis).entries
+        assert np.abs(weyl_matrix(F, basis).entries - U).max() < 1e-10
+        damp = math.exp(-0.25 * H * float(a @ a + b @ b))
+        assert np.abs(antiwick_matrix(F, basis).entries - damp * U).max() < 1e-10
 
 
 def test_oracle_U_coherent_matrix_elements():
@@ -518,6 +521,25 @@ def test_ladder_lattice_bounds_hold():
     assert all(a >= b for a, b in zip(tails, tails[1:]))
     assert rep.final_norm <= rep.final_bound
     assert rep.norm_error_bar is not None
+
+
+@pytest.mark.parametrize("case", ["lattice-3site", "exp-3d"])
+def test_ladder_final_rung_is_weyl(case):
+    # anti-Wick of F is Weyl of its half-heat smoothing and
+    # F = sum_I T_I S_{Lambda \ I} F, so the full rung is exactly Op^W(F)
+    if case == "lattice-3site":
+        p = LatticeSymbolParams(d=1, g=(0.4, 0.3, 0.2), t=1.0, V="cos")
+        F, degree = make_lattice(p, 2), 2
+    else:
+        F, degree = make_exponential([1.0, -0.5, 0.3], [0.2, 0.8, -0.4]), 3
+    basis = HermiteBasis(3, H, degree)
+    ladder = IndexLadder(3, ((0,), (0, 1), (0, 1, 2)))
+    rep = ladder_run(F, ladder, basis)
+    W = weyl_matrix(F, basis).entries
+    assert np.abs(rep.final.entries - W).max() < 1e-12
+    up = weyl_matrix(F, HermiteBasis(3, H, degree + 1))
+    assert rep.norm_error_bar == pytest.approx(abs(up.norm() - rep.final_norm),
+                                               abs=1e-12)
 
 
 def test_ladder_independence_of_ordering():
