@@ -251,6 +251,9 @@ def cmd_converge(cfg: dict) -> int:
         "final_norm": rep.final_norm,
         "final_bound": rep.final_bound,
         "norm_error_bar": rep.norm_error_bar,
+        "weyl_residual": rep.weyl_residual,
+        "bound_ratios": rep.bound_ratios,
+        "vacuous_bound": rep.vacuous_bound,
         "all_steps_within_bound": rep.ok,
     }
     _write_json(os.path.join(out, "summary.json"), summary)

@@ -21,7 +21,11 @@ symmetric pair table at the single point (-h b/2, -h a/2) with column parity
 (-1)^l, times exp(-v (a^2 + b^2) / 2) for the coordinate's variance v, so
 Fourier-measure symbols assemble in closed form at any dimension and degree.
 Nearest-neighbour chain symbols assemble from per-site quadrature tables at
-any dimension; generic symbols use a dense tensor grid (dim <= 2).
+any dimension; generic symbols use a dense tensor grid (dim <= 2).  A chain
+site factor is a sum of separable terms e^{imz} g(zeta) on the q x q tensor
+grid, so a site table contracts the pair table over zeta once per term and
+then over z for every frequency m at once: one pass over the q^2 grid per
+term instead of one per frequency.
 
 The independent oracle ``weyl_matrix_classical`` builds the operator from
 the oscillatory integral
@@ -44,9 +48,12 @@ spectral-norm differences with the bound
     ||Op^{hyb,I}(T_I F)|| <= M (81 pi h S_eps)^{|I|} prod_{j in I} eps_j^2,
 
 which accumulates to norm(final) <= M prod_j (1 + 81 pi h S_eps eps_j^2)
-for h in (0, 1] (S_eps = sup_j max(1, eps_j^2)).  The full rung equals the
-Weyl matrix of F, so the truncation error bar is read from one Weyl matrix
-one degree up.
+for h in (0, 1] (S_eps = sup_j max(1, eps_j^2)).  The report gives each
+rung's difference-to-bound ratio and flags the bounds as vacuous when one
+exceeds its difference by more than 1e6.  The full rung equals the Weyl
+matrix of F, so one Weyl matrix one degree up gives both the truncation
+error bar and, restricted to degree d, the final rung's residual against
+Weyl.
 """
 
 import csv
@@ -59,7 +66,7 @@ import numpy as np
 
 from ._kernels import bargmann_pair_table, chain_contract, wigner_pair_table
 from .errors import InputError, NumericalError, ResourceError
-from .gaussian import PhasePoint, tensor_rule
+from .gaussian import PhasePoint, gauss_hermite_1d, tensor_rule
 from .heat import CoordinateSplit, max_subset_size, op_T_I, smooth_symbol
 from .hermite import (
     MAX_STABLE_DEGREE, FunctionRep, HermiteBasis, coherent_state, gamma_map,
@@ -237,7 +244,8 @@ def _assemble_atoms(F: SymbolDescriptor, basis: HermiteBasis, modes) -> np.ndarr
     return _reindex(out, basis)
 
 
-_SITE_TABLE_CACHE = {}
+_SITE_TABLE_CACHE = {}     # per-site tables, oldest evicted first
+_SITE_TABLE_CACHE_CAP = 64
 
 
 def _chain_site_table(entries, mode: str, h: float, deg: int, moff: int,
@@ -250,20 +258,25 @@ def _chain_site_table(entries, mode: str, h: float, deg: int, moff: int,
     key = (entries, mode, h, deg, moff, nmax, order, _MUTATE_TABLE_SIGN)
     if key in _SITE_TABLE_CACHE:
         return _SITE_TABLE_CACHE[key]
-    from .symbols import _chain_site_factor
-
     base = order if order is not None else 64
     q = _grid_order(mode, h, base, float(nmax + 6))
-    nodes, w = _coord_grid(h, mode, q)
-    tbl = _coord_table(h, mode, deg, nodes)
-    d1 = deg + 1
-    out = np.empty((2 * moff + 1, d1, d1), dtype=complex)
-    facs = np.stack([
-        _chain_site_factor(entries, m, nodes[:, 0], nodes[:, 1])
-        for m in range(-moff, moff + 1)
-    ])
-    out = np.einsum("mi,lki->mkl", facs * w[None, :], tbl, optimize=True)
+    nodes, _ = _coord_grid(h, mode, q)
+    # The grid is the q x q tensor rule in (z, zeta) and every site entry is
+    # coef e^{-zvar m^2/2} e^{imz} times amp e^{-alpha zeta^2}, so each entry
+    # contracts the table over zeta once, then over z for all m at once.
+    tbl = _coord_table(h, mode, deg, nodes).reshape(deg + 1, deg + 1, q, q)
+    x, wx = gauss_hermite_1d(q, _mode_variance(mode, h))
+    m = np.arange(-moff, moff + 1, dtype=float)
+    wave = np.exp(1j * m[:, None] * x[None, :]) * wx[None, :]
+    out = sum(
+        np.einsum("mz,lkz->mkl",
+                  e.coef * np.exp(-0.5 * e.zvar * m**2)[:, None] * wave,
+                  tbl @ (e.amp * np.exp(-e.alpha * x**2) * wx), optimize=True)
+        for e in entries
+    )
     _SITE_TABLE_CACHE[key] = out
+    if len(_SITE_TABLE_CACHE) > _SITE_TABLE_CACHE_CAP:
+        del _SITE_TABLE_CACHE[next(iter(_SITE_TABLE_CACHE))]
     return out
 
 
@@ -577,6 +590,9 @@ class LadderStep:
     cv_bound: float
 
 
+VACUOUS_RATIO = 1e-6   # diff/bound below this flags the bound as vacuous
+
+
 @dataclass
 class ConvergenceReport:
     """Per-rung ladder records plus the final operator and its bound."""
@@ -586,8 +602,20 @@ class ConvergenceReport:
     final_norm: float
     final_bound: float
     norm_error_bar: float | None
+    weyl_residual: float | None
     h: float
     eps: np.ndarray
+
+    @property
+    def bound_ratios(self) -> list:
+        """diff_norm / diff_bound per rung after the first (None if bound 0)."""
+        return [float(s.diff_norm / s.diff_bound) if s.diff_bound > 0 else None
+                for s in self.steps if s.diff_norm is not None]
+
+    @property
+    def vacuous_bound(self) -> bool:
+        """True when some rung's bound exceeds its difference by > 1e6x."""
+        return any(r is not None and r < VACUOUS_RATIO for r in self.bound_ratios)
 
     @property
     def ok(self) -> bool:
@@ -628,7 +656,8 @@ def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
     symmetric block I is built once; rung n sums the subsets of Lambda_n, so
     successive differences are exactly the fresh-subset contributions.
     With ``norm_check="increment"`` the report's ``norm_error_bar`` is the
-    change of the final norm at degree + 1; ``None`` skips it.
+    change of the final norm at degree + 1 and ``weyl_residual`` the largest
+    entry of final - Op^W(F); ``None`` skips both.
     """
     if F.class_eps is None or F.class_M is None:
         raise InputError("ladder symbols need derivative-class metadata (M, eps)")
@@ -682,11 +711,18 @@ def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
 
     # The ladder's full rung is Op^W(F) (anti-Wick of F is Weyl of its
     # half-heat smoothing and F = sum_I T_I S_{Lambda \ I} F), so the
-    # truncation error bar needs only the Weyl matrix one degree up.
-    error_bar = None
+    # truncation error bar needs only the Weyl matrix one degree up.  No
+    # quadrature order depends on the degree, so that matrix restricted to
+    # the degree-d multi-indices is the degree-d Weyl matrix, and the final
+    # rung's distance to it is the ladder's residual against Weyl.
+    error_bar = residual = None
     if norm_check == "increment" and basis.max_degree < MAX_STABLE_DEGREE:
         bigger = HermiteBasis(basis.dim, basis.h, basis.max_degree + 1)
-        error_bar = abs(weyl_matrix(F, bigger, order).norm() - final_norm)
+        up = weyl_matrix(F, bigger, order)
+        error_bar = abs(up.norm() - final_norm)
+        pos = {tuple(a): i for i, a in enumerate(bigger.indices)}
+        sub = [pos[tuple(a)] for a in basis.indices]
+        residual = float(np.max(np.abs(running - up.entries[np.ix_(sub, sub)])))
 
     return ConvergenceReport(steps, final, final_norm, final_bound, error_bar,
-                             h, eps)
+                             residual, h, eps)

@@ -133,6 +133,10 @@ def test_converge_lattice(tmp_path):
     assert (out / "report.svg").read_text().startswith("<svg")
     summary = json.loads((out / "summary.json").read_text())
     assert summary["all_steps_within_bound"] is True
+    assert summary["weyl_residual"] < 1e-12
+    assert summary["bound_ratios"] == [float(r[2]) / float(r[3])
+                                       for r in data[1:]]
+    assert summary["vacuous_bound"] is True
 
 
 def test_converge_two_ladders_agree(tmp_path):

@@ -305,6 +305,76 @@ def test_dense_dim2_blocks_match_kron_of_dim1():
     assert np.abs(M.entries - want).max() < 1e-13
 
 
+def _site_table_grid_sweep(entries, mode, h, deg, moff, nmax):
+    # brute-force reference: every frequency's site factor on the whole
+    # q x q grid, contracted against the pair table
+    import gweyl.quantize as q
+    from gweyl.symbols import _chain_site_factor
+
+    order = q._grid_order(mode, h, 64, float(nmax + 6))
+    nodes, w = q._coord_grid(h, mode, order)
+    tbl = q._coord_table(h, mode, deg, nodes)
+    facs = np.stack([_chain_site_factor(entries, m, nodes[:, 0], nodes[:, 1])
+                     for m in range(-moff, moff + 1)])
+    return np.einsum("mi,lki->mkl", facs * w[None, :], tbl, optimize=True)
+
+
+@pytest.mark.parametrize("mode", ["weyl", "aw"])
+@pytest.mark.parametrize("degree", [3, 8])
+def test_chain_site_table_matches_grid_sweep(monkeypatch, mode, degree):
+    import gweyl.quantize as q
+    from gweyl.heat import op_T_I
+
+    monkeypatch.setattr(q, "_SITE_TABLE_CACHE", {})
+    F = make_lattice(LatticeSymbolParams(d=1, g=(0.5, 0.35, 0.25), t=1.0,
+                                         V="cos"), 2)
+    one = F.chain
+    two = op_T_I(F, (1,), H).chain       # Id - smoothing: two entries at site 1
+    for data, j, n_entries in ((one, 1, 1), (two, 1, 2)):
+        entries = data.site[j]
+        assert len(entries) == n_entries
+        got = q._chain_site_table(entries, mode, H, degree, data.mrange,
+                                  data.nmax, None)
+        want = _site_table_grid_sweep(entries, mode, H, degree, data.mrange,
+                                      data.nmax)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_chain_site_table_cache_is_bounded(monkeypatch):
+    import gweyl.quantize as q
+
+    monkeypatch.setattr(q, "_SITE_TABLE_CACHE", {})
+    monkeypatch.setattr(q, "_SITE_TABLE_CACHE_CAP", 2)
+    data = make_lattice(LatticeSymbolParams(d=1, g=(0.3, 0.2), t=0.5, V="cos"),
+                        2).chain
+    first = q._chain_site_table(data.site[0], "weyl", H, 1, data.mrange,
+                                data.nmax, None)
+    for deg in (2, 3):
+        q._chain_site_table(data.site[0], "weyl", H, deg, data.mrange,
+                            data.nmax, None)
+    assert len(q._SITE_TABLE_CACHE) == 2
+    assert sorted(key[3] for key in q._SITE_TABLE_CACHE) == [2, 3]
+    again = q._chain_site_table(data.site[0], "weyl", H, 1, data.mrange,
+                                data.nmax, None)
+    assert np.array_equal(again, first)
+
+
+@pytest.mark.parametrize("selected", [(0, 1), (), (0,)])
+def test_chain_route_matches_dense_route(selected):
+    # A weak coupling keeps the Bessel series short (nmax = 7), so the dense
+    # order-48 grid resolves the symbol; measured max entry difference
+    # 8.3e-15 (Weyl), 1.3e-15 (anti-Wick), 4.6e-15 (hybrid) on entries <= 0.94.
+    import dataclasses
+
+    F = make_lattice(LatticeSymbolParams(d=1, g=(0.3, 0.2), t=0.5, V="cos"), 2)
+    dense = dataclasses.replace(F, chain=None)
+    basis = HermiteBasis(2, H, 3)
+    split = CoordinateSplit(2, selected)
+    got = hybrid_matrix(F, split, basis).entries
+    want = hybrid_matrix(dense, split, basis).entries
+    assert np.abs(got - want).max() < 1e-12
+
+
 def test_hybrid_tensor_factorization():
     basis2 = HermiteBasis(2, H, 5)
     basis1 = HermiteBasis(1, H, 5)
@@ -540,6 +610,23 @@ def test_ladder_final_rung_is_weyl(case):
     up = weyl_matrix(F, HermiteBasis(3, H, degree + 1))
     assert rep.norm_error_bar == pytest.approx(abs(up.norm() - rep.final_norm),
                                                abs=1e-12)
+    # the residual is read from the degree + 1 matrix restricted to degree d
+    assert rep.weyl_residual == np.abs(rep.final.entries - W).max()
+
+
+def test_ladder_report_ratios_and_vacuous_flag():
+    p = LatticeSymbolParams(d=1, g=(0.4, 0.3, 0.2), t=1.0, V="cos")
+    basis = HermiteBasis(3, H, 2)
+    ladder = IndexLadder(3, ((0,), (0, 1), (0, 1, 2)))
+    rep = ladder_run(make_lattice(p, 2), ladder, basis)
+    want = [s.diff_norm / s.diff_bound for s in rep.steps[1:]]
+    assert rep.bound_ratios == want
+    assert 0.0 < max(want) < 1e-6 and rep.vacuous_bound
+    skipped = ladder_run(make_lattice(p, 2), ladder, basis, norm_check=None)
+    assert skipped.weyl_residual is None and skipped.norm_error_bar is None
+    const = ladder_run(_const_with_class(2), IndexLadder(2, ((0,), (0, 1))),
+                       HermiteBasis(2, H, 2), norm_check=None)
+    assert const.bound_ratios == [None] and not const.vacuous_bound
 
 
 def test_ladder_independence_of_ordering():
