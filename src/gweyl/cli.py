@@ -252,6 +252,7 @@ def cmd_converge(cfg: dict) -> int:
         "final_bound": rep.final_bound,
         "norm_error_bar": rep.norm_error_bar,
         "weyl_residual": rep.weyl_residual,
+        "route_residual": rep.route_residual,
         "bound_ratios": rep.bound_ratios,
         "vacuous_bound": rep.vacuous_bound,
         "all_steps_within_bound": rep.ok,

@@ -60,6 +60,33 @@ class CoordinateSplit:
         return tuple(j for j in range(self.ambient_dim) if j not in self.selected)
 
 
+_POINT_BLOCK = 100_000   # (point, node) pairs evaluated per block
+
+
+def _gauss_average(F, z, zeta, coords, nodes, weights, shrink=1.0):
+    """Per point, sum_q w_q F with (z_j, zeta_j) -> shrink (z_j, zeta_j) + node_q.
+
+    The (z_j, zeta_j) of each coordinate j in ``coords`` are moved; the first
+    len(coords) node columns hold the z offsets, the rest the zeta offsets.
+    Points are evaluated in blocks, so memory stays bounded.
+    """
+    k = len(coords)
+    n, q = z.shape[0], nodes.shape[0]
+    out = np.empty(n, dtype=complex)
+    step = max(1, _POINT_BLOCK // q)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        m = hi - lo
+        zz = np.repeat(z[lo:hi, None, :], q, axis=1)
+        ze = np.repeat(zeta[lo:hi, None, :], q, axis=1)
+        for pos, j in enumerate(coords):
+            zz[:, :, j] = shrink * zz[:, :, j] + nodes[:, pos]
+            ze[:, :, j] = shrink * ze[:, :, j] + nodes[:, k + pos]
+        vals = np.asarray(F(zz.reshape(m * q, -1), ze.reshape(m * q, -1)))
+        out[lo:hi] = vals.reshape(m, q) @ weights
+    return out
+
+
 def _quadrature_smoothed(F: SymbolDescriptor, coords, t: float,
                          order: int | None = None) -> SymbolDescriptor:
     coords = tuple(sorted(set(int(c) for c in coords)))
@@ -69,22 +96,8 @@ def _quadrature_smoothed(F: SymbolDescriptor, coords, t: float,
     nodes, weights = tensor_rule([t] * (2 * k), order)
 
     def f(z, zeta):
-        z = np.atleast_2d(z)
-        zeta = np.atleast_2d(zeta)
-        n, q = z.shape[0], nodes.shape[0]
-        out = np.empty(n, dtype=complex)
-        step = max(1, int(2e6) // q)
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            m = hi - lo
-            zz = np.repeat(z[lo:hi, None, :], q, axis=1)
-            ze = np.repeat(zeta[lo:hi, None, :], q, axis=1)
-            for pos, j in enumerate(coords):
-                zz[:, :, j] += nodes[:, pos]
-                ze[:, :, j] += nodes[:, k + pos]
-            vals = F(zz.reshape(m * q, -1), ze.reshape(m * q, -1)).reshape(m, q)
-            out[lo:hi] = vals @ weights
-        return out
+        return _gauss_average(F, np.atleast_2d(z), np.atleast_2d(zeta), coords,
+                              nodes, weights)
 
     return SymbolDescriptor(F.dim, f, name=f"H[{F.name}]", growth=F.growth,
                             poly_degree=F.poly_degree, sup_norm=F.sup_norm,
@@ -127,25 +140,27 @@ def heat_partial(F: SymbolDescriptor, split: CoordinateSplit, on_selected: bool,
 
 
 def heat_adjoint_M(G, split: CoordinateSplit, t: float, h1: float, h2: float,
-                   Z: PhasePoint, order: int = 32) -> complex:
-    """Adjoint smoothing (M_{t,h1,h2} G)(Z); see module docstring."""
+                   Z: PhasePoint | tuple, order: int = 32) -> complex | np.ndarray:
+    """Adjoint smoothing (M_{t,h1,h2} G)(Z); see module docstring.
+
+    ``Z`` is a PhasePoint, giving a complex number, or a pair (z, zeta) of
+    (n, dim) arrays, giving the n values; the tensor rule is built once.
+    """
     if min(t, h1, h2) <= 0:
         raise InputError("t, h1, h2 must be positive")
+    single = isinstance(Z, PhasePoint)
+    z, zeta = (Z.x[None, :], Z.xi[None, :]) if single else Z
+    z, zeta = np.atleast_2d(z), np.atleast_2d(zeta)
     comp = split.complement
     if not comp:
-        return complex(np.asarray(G(Z.x[None, :], Z.xi[None, :]))[0])
-    k = len(comp)
-    var = t * h2 / (t + h2)
-    shrink = h2 / (t + h2)
-    nodes, weights = tensor_rule([var] * (2 * k), order)
-    q = nodes.shape[0]
-    zz = np.repeat(Z.x[None, :], q, axis=0)
-    ze = np.repeat(Z.xi[None, :], q, axis=0)
-    for pos, j in enumerate(comp):
-        zz[:, j] = nodes[:, pos] + shrink * Z.x[j]
-        ze[:, j] = nodes[:, k + pos] + shrink * Z.xi[j]
-    vals = np.asarray(G(zz, ze))
-    return complex(weights @ vals)
+        vals = np.asarray(G(z, zeta), dtype=complex)
+    else:
+        k = len(comp)
+        var = t * h2 / (t + h2)
+        nodes, weights = tensor_rule([var] * (2 * k), order)
+        vals = _gauss_average(G, z, zeta, comp, nodes, weights,
+                              shrink=h2 / (t + h2))
+    return complex(vals[0]) if single else vals
 
 
 def op_T_I(F: SymbolDescriptor, I, h: float) -> SymbolDescriptor:

@@ -41,9 +41,15 @@ lattice values, so the xi-integral is one matrix product of F on the
 lattice, read back at (i+j, i-j): O(nx nxi) symbol values and phases instead
 of nx^2 nxi.
 
-The truncation ladder sums hybrid operators of difference products T_I F
-over subsets I of an increasing coordinate family and compares successive
-spectral-norm differences with the bound
+The truncation ladder runs over an increasing coordinate family Lambda_n.
+Per coordinate anti-Wick(G) = Weyl(H_{h/2} G), and G = sum_{I subset of
+Lambda} T_I S_{Lambda \\ I} G, so the paper's rung sum_{I subset of
+Lambda_n} Op^{hyb,I}(T_I F) is one hybrid matrix of F: symmetric on
+Lambda_n, positive elsewhere.  Each rung is assembled that way, and the
+subset expansion is kept as a route check on the first rung only (2^|Lambda_1|
+matrices, 2 on a nested-prefix ladder), reported as the largest entry of the
+difference.  Successive spectral-norm differences are the fresh subsets'
+contributions and are compared with the sum of their bounds
 
     ||Op^{hyb,I}(T_I F)|| <= M (81 pi h S_eps)^{|I|} prod_{j in I} eps_j^2,
 
@@ -53,7 +59,8 @@ rung's difference-to-bound ratio and flags the bounds as vacuous when one
 exceeds its difference by more than 1e6.  The full rung equals the Weyl
 matrix of F, so one Weyl matrix one degree up gives both the truncation
 error bar and, restricted to degree d, the final rung's residual against
-Weyl.
+Weyl.  Rungs of a real symbol are Hermitian, and their norms are taken by
+Lanczos (see ``operator_norm``).
 """
 
 import csv
@@ -63,6 +70,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import eigvalsh
+from scipy.linalg.blas import zgemv
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from ._kernels import bargmann_pair_table, chain_contract, wigner_pair_table
 from .errors import InputError, NumericalError, ResourceError
@@ -129,12 +139,41 @@ class OperatorMatrix:
         return OperatorMatrix(basis, flat.reshape(n, n), data.get("meta", {}))
 
 
+_HERMITIAN_TOL = 1e-13   # defect relative to max |entry| treated as Hermitian
+_LANCZOS_MIN_N = 128     # above this size Lanczos beats the dense eigensolver
+
+
 def operator_norm(A) -> float:
-    """Spectral norm (largest singular value) by a dense SVD; 0.0 if empty."""
+    """Spectral norm (largest singular value); 0.0 if empty.
+
+    Hermitian input has norm max |eigenvalue|: dense ``eigvalsh`` up to
+    n = 128, above that one Lanczos eigenpair (ARPACK ``eigsh``) from a fixed
+    seeded start, so the result is bit-reproducible, falling back to the
+    dense eigensolver if ARPACK does not converge.  Anything else takes a
+    dense SVD.
+    """
     M = A.entries if isinstance(A, OperatorMatrix) else np.asarray(A, dtype=complex)
     if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(M, 2))
+    n = M.shape[0]
+    if M.shape != (n, n) or (np.max(np.abs(M - M.conj().T))
+                             > _HERMITIAN_TOL * np.max(np.abs(M))):
+        return float(np.linalg.norm(M, 2))
+    if n > _LANCZOS_MIN_N:
+        # ARPACK runs on scipy's BLAS, so the matvec does too: a numpy matvec
+        # alternates between two OpenBLAS thread pools, which made eigsh about
+        # 50x slower at n = 256 under default threading on 2 CPUs.  Mt is M^T
+        # in Fortran order (no copy), and trans=1 applies its transpose, M.
+        Mt = np.asfortranarray(M.T)
+        op = LinearOperator((n, n), dtype=complex,
+                            matvec=lambda x: zgemv(1.0, Mt, np.ravel(x), trans=1))
+        v0 = np.random.default_rng(0).standard_normal(n)
+        try:
+            top = eigsh(op, k=1, which="LM", v0=v0, return_eigenvectors=False)
+            return float(abs(top[0]))
+        except ArpackNoConvergence:
+            pass
+    return float(np.max(np.abs(eigvalsh(M))))
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +642,7 @@ class ConvergenceReport:
     final_bound: float
     norm_error_bar: float | None
     weyl_residual: float | None
+    route_residual: float
     h: float
     eps: np.ndarray
 
@@ -652,12 +692,15 @@ def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
                norm_check: str | None = "increment") -> ConvergenceReport:
     """Assemble the hybrid-operator ladder of F and audit it against the bounds.
 
-    For every subset I of the final rung the hybrid matrix of T_I F with
-    symmetric block I is built once; rung n sums the subsets of Lambda_n, so
-    successive differences are exactly the fresh-subset contributions.
-    With ``norm_check="increment"`` the report's ``norm_error_bar`` is the
-    change of the final norm at degree + 1 and ``weyl_residual`` the largest
-    entry of final - Op^W(F); ``None`` skips both.
+    Rung n is the single hybrid matrix of F with symmetric block Lambda_n,
+    which equals the sum over I subset of Lambda_n of the hybrid matrices of
+    T_I F with symmetric block I; successive differences are therefore the
+    fresh-subset contributions, compared with the sum of their bounds.  That
+    subset expansion is assembled for the first rung only and its largest
+    entry against the rung is ``route_residual``.  With
+    ``norm_check="increment"`` the report's ``norm_error_bar`` is the change
+    of the final norm at degree + 1 and ``weyl_residual`` the largest entry of
+    final - Op^W(F); ``None`` skips both.
     """
     if F.class_eps is None or F.class_M is None:
         raise InputError("ladder symbols need derivative-class metadata (M, eps)")
@@ -675,20 +718,23 @@ def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
     M0 = float(F.class_M)
     S = float(max(1.0, np.max(eps**2))) if eps.size else 1.0
 
-    mats = {}
-    for r in range(len(full) + 1):
-        for I in itertools.combinations(full, r):
-            split = CoordinateSplit(basis.dim, I)
-            mats[I] = hybrid_matrix(op_T_I(F, I, h), split, basis, order).entries
-    bounds = {I: _subset_bound(M0, eps, h, S, I) for I in mats}
+    def hybrid(G, block):
+        return hybrid_matrix(G, CoordinateSplit(basis.dim, block), basis,
+                             order).entries
+
+    bounds = {I: _subset_bound(M0, eps, h, S, I)
+              for r in range(len(full) + 1)
+              for I in itertools.combinations(full, r)}
 
     steps = []
     prev = None
     running = None
     for n, lam in enumerate(ladder.subsets, start=1):
-        inside = [I for I in mats if set(I) <= set(lam)]
-        current = sum(mats[I] for I in inside)
+        inside = [I for I in bounds if set(I) <= set(lam)]
+        current = hybrid(F, lam)
         if prev is None:
+            expansion = sum(hybrid(op_T_I(F, I, h), I) for I in inside)
+            route_residual = float(np.max(np.abs(expansion - current)))
             diff_norm = None
             diff_bound = None
         else:
@@ -709,12 +755,11 @@ def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
     final_norm = steps[-1].norm
     final_bound = cv_bound(M0, eps, h)
 
-    # The ladder's full rung is Op^W(F) (anti-Wick of F is Weyl of its
-    # half-heat smoothing and F = sum_I T_I S_{Lambda \ I} F), so the
-    # truncation error bar needs only the Weyl matrix one degree up.  No
-    # quadrature order depends on the degree, so that matrix restricted to
-    # the degree-d multi-indices is the degree-d Weyl matrix, and the final
-    # rung's distance to it is the ladder's residual against Weyl.
+    # The ladder's full rung is Op^W(F), so the truncation error bar needs
+    # only the Weyl matrix one degree up.  No quadrature order depends on the
+    # degree, so that matrix restricted to the degree-d multi-indices is the
+    # degree-d Weyl matrix, and the final rung's distance to it is the
+    # ladder's residual against Weyl.
     error_bar = residual = None
     if norm_check == "increment" and basis.max_degree < MAX_STABLE_DEGREE:
         bigger = HermiteBasis(basis.dim, basis.h, basis.max_degree + 1)
@@ -725,4 +770,4 @@ def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
         residual = float(np.max(np.abs(running - up.entries[np.ix_(sub, sub)])))
 
     return ConvergenceReport(steps, final, final_norm, final_bound, error_bar,
-                             residual, h, eps)
+                             residual, route_residual, h, eps)

@@ -106,13 +106,16 @@ def test_criterion_03_norm_bound_on_lattice_ladder():
     assert rep.final_norm <= rep.final_bound
     # the ladder's limit is the first-approach Weyl operator
     assert rep.weyl_residual < 1e-12
+    # each rung is one hybrid matrix; the first matches its subset expansion
+    assert rep.route_residual < 1e-12
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0
     print(f"ACCEPTANCE 03 norm bound: PASS (norm {rep.final_norm:.4f} <= "
           f"bound {rep.final_bound:.3e}; diffs "
           f"{[f'{s.diff_norm:.2e}' for s in rep.steps[1:]]} below bounds; "
           f"error bar {rep.norm_error_bar:.2e}, residual against Weyl "
-          f"{rep.weyl_residual:.2e} < 1e-12, {elapsed:.1f} s)")
+          f"{rep.weyl_residual:.2e} < 1e-12, route residual "
+          f"{rep.route_residual:.2e} < 1e-12, {elapsed:.1f} s)")
 
 
 def test_criterion_04_positive_quantization_contraction():

@@ -134,6 +134,7 @@ def test_converge_lattice(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["all_steps_within_bound"] is True
     assert summary["weyl_residual"] < 1e-12
+    assert summary["route_residual"] < 1e-12
     assert summary["bound_ratios"] == [float(r[2]) / float(r[3])
                                        for r in data[1:]]
     assert summary["vacuous_bound"] is True

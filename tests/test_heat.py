@@ -141,10 +141,7 @@ def test_heat_adjoint_duality(rng):
     # variance layout (z0, z1, zeta0, zeta1): selected block h1, complement h2
     lhs = integrate(lambda z, zeta: HF(z, zeta) * G(z, zeta),
                     [h1, h2, h1, h2])
-    MG_vals = lambda z, zeta: np.array([
-        heat_adjoint_M(G, split, t, h1, h2, PhasePoint(z[i], zeta[i]))
-        for i in range(z.shape[0])
-    ])
+    MG_vals = lambda z, zeta: heat_adjoint_M(G, split, t, h1, h2, (z, zeta))
     rhs = integrate(lambda z, zeta: F(z, zeta) * MG_vals(z, zeta),
                     [h1, h2 + t, h1, h2 + t], order=20)
     assert abs(lhs - rhs) < 1e-5

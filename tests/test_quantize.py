@@ -1,8 +1,10 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from gweyl import (
     CoordinateSplit,
@@ -35,6 +37,8 @@ from gweyl import (
     weyl_matrix_classical,
     wick_symbol,
 )
+from gweyl import quantize
+from gweyl.heat import op_T_I
 from gweyl.quantize import _reindex
 from gweyl.symbols import LatticeSymbolParams, SymbolDescriptor
 from gweyl.gaussian import tensor_rule
@@ -532,6 +536,76 @@ def test_operator_norm_matches_dense_eigensolver(rng):
         assert operator_norm(A) == pytest.approx(want_svd, rel=1e-6)
 
 
+def _random_hermitian(n, seed):
+    A = np.random.default_rng(seed).normal(size=(n, n, 2)).view(complex)[..., 0]
+    return 0.5 * (A + A.conj().T)
+
+
+def _odd_top_hermitian(n=301):
+    # commutes with the reflection J e_k = e_{n-1-k}; the top eigenvector is
+    # J-odd, so it is orthogonal to every J-even start such as all ones
+    A = 0.1 * _random_hermitian(n, 5)
+    A = 0.5 * (A + A[::-1, ::-1])
+    u = np.exp(-np.abs(np.arange(n) - n // 2) / 40.0)
+    u[n // 2:] *= -1.0
+    u[n // 2] = 0.0
+    u /= np.linalg.norm(u)
+    return A + 5.0 * np.outer(u, u)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(quantize, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quantize, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["dense-100", "lanczos-625", "lanczos-odd-top"])
+def test_operator_norm_hermitian_branches_are_exact(monkeypatch, case):
+    M = {"dense-100": lambda: _random_hermitian(100, 1),
+         "lanczos-625": lambda: _random_hermitian(625, 2),
+         "lanczos-odd-top": _odd_top_hermitian}[case]()
+    if case == "lanczos-odd-top":
+        w, V = np.linalg.eigh(M)
+        top = V[:, np.argmax(np.abs(w))]
+        assert np.abs(top + top[::-1]).max() < 1e-12
+    lanczos = _counting(monkeypatch, "eigsh")
+    dense = _counting(monkeypatch, "eigvalsh")
+    want = float(np.linalg.norm(M, 2))
+    got = operator_norm(M)
+    assert got == pytest.approx(want, rel=1e-12)
+    n = M.shape[0]
+    assert (lanczos, dense) == (([n], []) if n > 128 else ([], [n]))
+    assert operator_norm(M) == got   # bit-identical from the seeded start
+
+
+def test_operator_norm_non_hermitian_takes_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("non-Hermitian input reached an eigensolver")
+
+    monkeypatch.setattr(quantize, "eigsh", refuse)
+    monkeypatch.setattr(quantize, "eigvalsh", refuse)
+    for n in (50, 300):
+        A = _random_hermitian(n, 3)
+        A[0, 1] += 1e-6
+        assert operator_norm(A) == float(np.linalg.norm(A, 2))
+
+
+def test_operator_norm_falls_back_when_lanczos_does_not_converge(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    monkeypatch.setattr(quantize, "eigsh", no_convergence)
+    M = _random_hermitian(300, 4)
+    assert operator_norm(M) == pytest.approx(float(np.linalg.norm(M, 2)),
+                                             rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # norm bound and ladder
 # ---------------------------------------------------------------------------
@@ -611,7 +685,59 @@ def test_ladder_final_rung_is_weyl(case):
     assert rep.norm_error_bar == pytest.approx(abs(up.norm() - rep.final_norm),
                                                abs=1e-12)
     # the residual is read from the degree + 1 matrix restricted to degree d
-    assert rep.weyl_residual == np.abs(rep.final.entries - W).max()
+    pos = {tuple(a): i for i, a in enumerate(up.basis.indices)}
+    sub = [pos[tuple(a)] for a in basis.indices]
+    assert rep.weyl_residual == np.abs(
+        rep.final.entries - up.entries[np.ix_(sub, sub)]).max()
+
+
+@pytest.mark.parametrize("case", ["lattice-4site", "exp-3d"])
+def test_ladder_rungs_equal_subset_expansion(case):
+    # the paper's rung sum_{I subset Lambda_n} Op^{hyb,I}(T_I F), assembled
+    # subset by subset, against each rung of the ladder
+    if case == "lattice-4site":   # criterion 03's lattice
+        g = tuple(0.5 * 0.7**j for j in range(4))
+        F, dim = make_lattice(LatticeSymbolParams(d=1, g=g, t=1.0, V="cos"), 2), 4
+    else:
+        F, dim = make_exponential([1.0, -0.5, 0.3], [0.2, 0.8, -0.4]), 3
+    basis = HermiteBasis(dim, H, 3)
+    ladder = IndexLadder(dim, tuple(tuple(range(k + 1)) for k in range(dim)))
+    rep = ladder_run(F, ladder, basis, norm_check=None)
+    assert rep.route_residual < 1e-12
+    mats = {}
+    for r in range(dim + 1):
+        for I in itertools.combinations(range(dim), r):
+            split = CoordinateSplit(dim, I)
+            mats[I] = hybrid_matrix(op_T_I(F, I, H), split, basis).entries
+    prev = None
+    for step, lam in zip(rep.steps, ladder.subsets):
+        rung = sum(m for I, m in mats.items() if set(I) <= set(lam))
+        hyb = hybrid_matrix(F, CoordinateSplit(dim, lam), basis).entries
+        assert np.abs(rung - hyb).max() < 1e-12
+        assert step.norm == pytest.approx(np.linalg.norm(rung, 2), rel=1e-12)
+        if prev is not None:
+            assert step.diff_norm == pytest.approx(
+                np.linalg.norm(rung - prev, 2), rel=1e-12, abs=1e-12)
+        prev = rung
+    assert np.abs(rep.final.entries - prev).max() < 1e-12
+
+
+@pytest.mark.parametrize("case", ["lattice-3site", "exp-3d"])
+def test_route_residual_catches_dropped_antiwick_damping(monkeypatch, case):
+    # anti-Wick measured with the Weyl variance h/2 loses its damping, so the
+    # first rung no longer equals its subset expansion
+    if case == "lattice-3site":
+        p = LatticeSymbolParams(d=1, g=(0.4, 0.3, 0.2), t=1.0, V="cos")
+        F = make_lattice(p, 2)
+    else:
+        F = make_exponential([1.0, -0.5, 0.3], [0.2, 0.8, -0.4])
+    basis = HermiteBasis(3, H, 2)
+    ladder = IndexLadder(3, ((0,), (0, 1), (0, 1, 2)))
+    assert ladder_run(F, ladder, basis, norm_check=None).route_residual < 1e-12
+    monkeypatch.setattr(quantize, "_SITE_TABLE_CACHE", {})
+    monkeypatch.setattr(quantize, "_mode_variance", lambda mode, h: 0.5 * h)
+    rep = ladder_run(F, ladder, basis, norm_check=None)
+    assert rep.route_residual > 1e-8
 
 
 def test_ladder_report_ratios_and_vacuous_flag():
