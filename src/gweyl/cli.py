@@ -232,8 +232,6 @@ def _svg_plot(path: str, steps, metadata: dict):
 
 def cmd_converge(cfg: dict) -> int:
     sym = load_symbol(cfg.get("symbol", {}))
-    if sym.class_eps is None:
-        raise InputError("converge needs a symbol with derivative-class metadata")
     basis = _basis_from(cfg, sym.dim)
     if "ladder" in cfg:
         ladder = IndexLadder(basis.dim, tuple(tuple(s) for s in cfg["ladder"]))
@@ -251,7 +249,6 @@ def cmd_converge(cfg: dict) -> int:
         "final_norm": rep.final_norm,
         "final_bound": rep.final_bound,
         "norm_error_bar": rep.norm_error_bar,
-        "weyl_residual": rep.weyl_residual,
         "route_residual": rep.route_residual,
         "bound_ratios": rep.bound_ratios,
         "vacuous_bound": rep.vacuous_bound,

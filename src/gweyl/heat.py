@@ -117,12 +117,10 @@ def smooth_symbol(F: SymbolDescriptor, coords, t: float,
 
 
 def heat_full(F: SymbolDescriptor, t: float, Z: PhasePoint,
-              rule=None, order: int | None = None) -> complex:
+              order: int | None = None) -> complex:
     """(H_t F)(Z), exact when F carries a closed heat action."""
     if t <= 0:
         raise InputError("t must be positive")
-    if order is None and rule is not None:
-        order = rule.order
     G = smooth_symbol(F, range(F.dim), t, order)
     return G.value_at(Z)
 

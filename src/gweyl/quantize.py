@@ -48,19 +48,24 @@ Lambda_n} Op^{hyb,I}(T_I F) is one hybrid matrix of F: symmetric on
 Lambda_n, positive elsewhere.  Each rung is assembled that way, and the
 subset expansion is kept as a route check on the first rung only (2^|Lambda_1|
 matrices, 2 on a nested-prefix ladder), reported as the largest entry of the
-difference.  Successive spectral-norm differences are the fresh subsets'
-contributions and are compared with the sum of their bounds
+difference.  The paper bounds each subset's term by
 
-    ||Op^{hyb,I}(T_I F)|| <= M (81 pi h S_eps)^{|I|} prod_{j in I} eps_j^2,
+    ||Op^{hyb,I}(T_I F)|| <= M prod_{j in I} x_j,  x_j = 81 pi h S_eps eps_j^2,
 
-which accumulates to norm(final) <= M prod_j (1 + 81 pi h S_eps eps_j^2)
-for h in (0, 1] (S_eps = sup_j max(1, eps_j^2)).  The report gives each
-rung's difference-to-bound ratio and flags the bounds as vacuous when one
-exceeds its difference by more than 1e6.  The full rung equals the Weyl
-matrix of F, so one Weyl matrix one degree up gives both the truncation
-error bar and, restricted to degree d, the final rung's residual against
-Weyl.  Rungs of a real symbol are Hermitian, and their norms are taken by
-Lanczos (see ``operator_norm``).
+for h in (0, 1] (S_eps = sup_j max(1, eps_j^2)).  Summed over I subset of
+Lambda_n these give the rung bound cv_n = M prod_{j in Lambda_n} (1 + x_j),
+and summed over the fresh subsets (those not inside Lambda_{n-1}) they give
+the bound on the n-th spectral-norm difference,
+
+    cv_{n-1} (prod_{fresh j} (1 + x_j) - 1),
+
+evaluated as cv_{n-1} expm1(sum log1p(x_j)): the subtraction cv_n - cv_{n-1}
+loses the small fresh factors to rounding.  The report gives each rung's
+difference-to-bound ratio and flags the bounds as vacuous when one exceeds
+its difference by more than 1e6.  The full rung is the Weyl matrix of F, so
+one Weyl matrix one degree up gives the truncation error bar.  Rungs of a
+real symbol are Hermitian, and their norms are taken by Lanczos (see
+``operator_norm``).
 """
 
 import csv
@@ -634,17 +639,20 @@ VACUOUS_RATIO = 1e-6   # diff/bound below this flags the bound as vacuous
 
 @dataclass
 class ConvergenceReport:
-    """Per-rung ladder records plus the final operator and its bound."""
+    """Per-rung ladder records plus the final operator and its checks."""
 
     steps: list
     final: OperatorMatrix
-    final_norm: float
-    final_bound: float
     norm_error_bar: float | None
-    weyl_residual: float | None
     route_residual: float
-    h: float
-    eps: np.ndarray
+
+    @property
+    def final_norm(self) -> float:
+        return self.steps[-1].norm
+
+    @property
+    def final_bound(self) -> float:
+        return self.steps[-1].cv_bound
 
     @property
     def bound_ratios(self) -> list:
@@ -680,27 +688,19 @@ class ConvergenceReport:
                 ])
 
 
-def _subset_bound(M: float, eps: np.ndarray, h: float, S: float, I) -> float:
-    prod = 1.0
-    for j in I:
-        prod *= eps[j] ** 2
-    return M * (81.0 * math.pi * h * S) ** len(I) * prod
-
-
 def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
-               order: int | None = None,
-               norm_check: str | None = "increment") -> ConvergenceReport:
+               order: int | None = None) -> ConvergenceReport:
     """Assemble the hybrid-operator ladder of F and audit it against the bounds.
 
     Rung n is the single hybrid matrix of F with symmetric block Lambda_n,
     which equals the sum over I subset of Lambda_n of the hybrid matrices of
     T_I F with symmetric block I; successive differences are therefore the
-    fresh-subset contributions, compared with the sum of their bounds.  That
-    subset expansion is assembled for the first rung only and its largest
-    entry against the rung is ``route_residual``.  With
-    ``norm_check="increment"`` the report's ``norm_error_bar`` is the change
-    of the final norm at degree + 1 and ``weyl_residual`` the largest entry of
-    final - Op^W(F); ``None`` skips both.
+    fresh-subset contributions, compared with the closed-form sum of their
+    bounds (see the module docstring).  That subset expansion is assembled
+    for the first rung only, capped by GW_MAX_SUBSETS on |Lambda_1|, and its
+    largest entry against the rung is ``route_residual``.  ``norm_error_bar``
+    is the change of the final norm at degree + 1, ``None`` at the largest
+    stable degree.
     """
     if F.class_eps is None or F.class_M is None:
         raise InputError("ladder symbols need derivative-class metadata (M, eps)")
@@ -709,41 +709,38 @@ def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
         raise InputError("the ladder bound comparison requires h in (0, 1]")
     if ladder.ambient_dim != basis.dim:
         raise InputError("ladder and basis dimensions must agree")
-    full = ladder.subsets[-1]
-    if len(full) > max_subset_size():
+    first = ladder.subsets[0]
+    if len(first) > max_subset_size():
         raise ResourceError(
-            f"2^{len(full)} subset expansion exceeds the cap (GW_MAX_SUBSETS)"
+            f"2^{len(first)} first-rung subset expansion exceeds the cap "
+            f"(GW_MAX_SUBSETS)"
         )
     eps = np.asarray(F.class_eps, dtype=float)
     M0 = float(F.class_M)
     S = float(max(1.0, np.max(eps**2))) if eps.size else 1.0
+    x = 81.0 * math.pi * h * S * eps**2
 
     def hybrid(G, block):
         return hybrid_matrix(G, CoordinateSplit(basis.dim, block), basis,
                              order).entries
 
-    bounds = {I: _subset_bound(M0, eps, h, S, I)
-              for r in range(len(full) + 1)
-              for I in itertools.combinations(full, r)}
-
     steps = []
-    prev = None
     running = None
     for n, lam in enumerate(ladder.subsets, start=1):
-        inside = [I for I in bounds if set(I) <= set(lam)]
         current = hybrid(F, lam)
-        if prev is None:
-            expansion = sum(hybrid(op_T_I(F, I, h), I) for I in inside)
+        if running is None:
+            expansion = sum(hybrid(op_T_I(F, I, h), I)
+                            for r in range(len(lam) + 1)
+                            for I in itertools.combinations(lam, r))
             route_residual = float(np.max(np.abs(expansion - current)))
             diff_norm = None
             diff_bound = None
         else:
-            fresh = [I for I in inside if not set(I) <= set(prev)]
+            fresh = [j for j in lam if j not in prev]
             diff_norm = operator_norm(current - running)
-            diff_bound = sum(bounds[I] for I in fresh)
+            diff_bound = steps[-1].cv_bound * math.expm1(np.sum(np.log1p(x[fresh])))
         tail = float(np.sum(eps[[j for j in range(basis.dim) if j not in lam]] ** 2))
-        cv_n = float(M0 * np.prod([1.0 + 81.0 * math.pi * h * S * eps[j] ** 2
-                                   for j in lam]))
+        cv_n = float(M0 * np.prod(1.0 + x[list(lam)]))
         steps.append(LadderStep(n, len(lam), diff_norm, diff_bound, tail,
                                 operator_norm(current), cv_n))
         prev = lam
@@ -752,22 +749,10 @@ def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
     final = OperatorMatrix(basis, running,
                            {"symbol": F.name, "method": "ladder", "h": h,
                             "ladder": [list(s) for s in ladder.subsets]})
-    final_norm = steps[-1].norm
-    final_bound = cv_bound(M0, eps, h)
-
     # The ladder's full rung is Op^W(F), so the truncation error bar needs
-    # only the Weyl matrix one degree up.  No quadrature order depends on the
-    # degree, so that matrix restricted to the degree-d multi-indices is the
-    # degree-d Weyl matrix, and the final rung's distance to it is the
-    # ladder's residual against Weyl.
-    error_bar = residual = None
-    if norm_check == "increment" and basis.max_degree < MAX_STABLE_DEGREE:
-        bigger = HermiteBasis(basis.dim, basis.h, basis.max_degree + 1)
-        up = weyl_matrix(F, bigger, order)
-        error_bar = abs(up.norm() - final_norm)
-        pos = {tuple(a): i for i, a in enumerate(bigger.indices)}
-        sub = [pos[tuple(a)] for a in basis.indices]
-        residual = float(np.max(np.abs(running - up.entries[np.ix_(sub, sub)])))
-
-    return ConvergenceReport(steps, final, final_norm, final_bound, error_bar,
-                             residual, route_residual, h, eps)
+    # only the Weyl matrix one degree up.
+    error_bar = None
+    if basis.max_degree < MAX_STABLE_DEGREE:
+        up = weyl_matrix(F, HermiteBasis(basis.dim, h, basis.max_degree + 1), order)
+        error_bar = abs(up.norm() - steps[-1].norm)
+    return ConvergenceReport(steps, final, error_bar, route_residual)

@@ -133,7 +133,6 @@ def test_converge_lattice(tmp_path):
     assert (out / "report.svg").read_text().startswith("<svg")
     summary = json.loads((out / "summary.json").read_text())
     assert summary["all_steps_within_bound"] is True
-    assert summary["weyl_residual"] < 1e-12
     assert summary["route_residual"] < 1e-12
     assert summary["bound_ratios"] == [float(r[2]) / float(r[3])
                                        for r in data[1:]]
@@ -189,14 +188,24 @@ def test_classical_method_via_cli(tmp_path):
     assert np.abs(ent - np.eye(6)).max() < 1e-6
 
 
-def test_converge_resource_cap_exits_4(tmp_path, monkeypatch):
+def _capped_lattice_converge(tmp_path, monkeypatch, ladder):
+    # GW_MAX_SUBSETS caps the first rung's 2^|Lambda_1| subset expansion
     monkeypatch.setenv("GW_MAX_SUBSETS", "2")
     cfg = write_cfg(tmp_path, "big.json", {
         "symbol": {"family": "lattice", "g": [0.4, 0.3, 0.2], "t": 1.0,
                    "V": "cos", "m": 2},
-        "h": 0.5, "degree": 1, "out": str(tmp_path / "y"),
+        "h": 0.5, "degree": 1, "ladder": ladder, "out": str(tmp_path / "y"),
     })
-    assert run_cli(["converge", "--config", cfg]) == 4
+    return run_cli(["converge", "--config", cfg])
+
+
+def test_converge_resource_cap_exits_4(tmp_path, monkeypatch):
+    assert _capped_lattice_converge(tmp_path, monkeypatch, [[0, 1, 2]]) == 4
+
+
+def test_converge_nested_ladder_within_first_rung_cap(tmp_path, monkeypatch):
+    nested = [[0], [0, 1], [0, 1, 2]]
+    assert _capped_lattice_converge(tmp_path, monkeypatch, nested) == 0
 
 
 def test_wick_command(tmp_path):
