@@ -12,14 +12,6 @@ import math
 import numpy as np
 
 
-def sqrt_factorials(deg: int) -> np.ndarray:
-    """Array sf[k] = sqrt(k!) for k = 0..deg."""
-    out = np.ones(deg + 1)
-    for k in range(1, deg + 1):
-        out[k] = out[k - 1] * math.sqrt(k)
-    return out
-
-
 def _scaled_powers(s, deg):
     """Rows s^p / sqrt(p!) for p = 0..deg."""
     out = np.empty((deg + 1, s.shape[0]), dtype=np.complex128)
@@ -95,43 +87,41 @@ def bargmann_pair_table(tau, deg: int) -> np.ndarray:
 # Nearest-neighbour chain contraction.
 #
 # Sites j = 0..D-1 carry tables U[j, m, k, l] over an integer frequency axis
-# m = idx - moff.  Bonds b = 0..D-2 carry coefficient vectors a[b, n] over
-# n = idx - noff.  The contraction evaluates
+# m = -moff..moff, bonds b = 0..D-2 coefficient vectors a[b, n] over
+# n = -noff..noff; both offsets are read off the array shapes.  The
+# contraction evaluates
 #
 #   out[kvec, lvec] = sum_{n_0..n_{D-2}} prod_b a[b, n_b]
 #                     prod_j U[j, m_j, k_j, l_j]
 #
-# with site frequencies m_0 = n_0, m_j = n_j - n_{j-1}, m_{D-1} = -n_{D-2};
-# the output is returned flattened in kron (row-major per-site) order.  It is
-# staged as a tensor train: one BLAS contraction per bond.
+# with site frequencies m_0 = n_0, m_j = n_j - n_{j-1}, m_{D-1} = -n_{D-2},
+# so every m_j lies in [-2 noff, 2 noff], inside the site axis when
+# moff >= 2 noff.  A single site (D = 1) is its m = 0 table.  The output is
+# returned flattened in kron (row-major per-site) order.  It is staged as a
+# tensor train: one BLAS contraction per bond.
 # ---------------------------------------------------------------------------
 
-def chain_contract(U, a, moff: int, noff: int) -> np.ndarray:
+def chain_contract(U, a) -> np.ndarray:
     """Contract site tables along the bond chain; see the comment above."""
     U = np.ascontiguousarray(U, dtype=np.complex128)
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    D = U.shape[0]
-    d = U.shape[2]
-    nn = a.shape[1]
-    ns = np.arange(nn) - noff
+    D, d = U.shape[0], U.shape[2]
+    moff = (U.shape[1] - 1) // 2
     if D == 1:
         return U[0, moff].copy()
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    noff = (a.shape[1] - 1) // 2
+    if moff < 2 * noff:
+        raise ValueError(f"site tables reach |m| <= {moff}, bonds need {2 * noff}")
+    ns = np.arange(-noff, noff + 1)
     # state S[n_{j}, k_0, l_0, ..., k_j, l_j]
     S = U[0, ns + moff] * a[0][:, None, None]
+    diff = ns[None, :] - ns[:, None] + moff
     for j in range(1, D - 1):
         # bridge[n_{j-1}, n_j, k_j, l_j] = U[j, n_j - n_{j-1} + moff] a[j, n_j]
-        diff = ns[None, :] - ns[:, None] + moff
-        valid = (diff >= 0) & (diff < U.shape[1])
-        bridge = np.zeros((nn, nn, d, d), dtype=np.complex128)
-        bridge[valid] = U[j, diff[valid]]
-        bridge = bridge * a[j][None, :, None, None]
+        bridge = U[j, diff] * a[j][None, :, None, None]
         S = np.einsum("a...,abkl->b...kl", S, bridge, optimize=True)
     # close with the last site, m = -n_{D-2}
-    last = np.zeros((nn, d, d), dtype=np.complex128)
-    diff = -ns + moff
-    valid = (diff >= 0) & (diff < U.shape[1])
-    last[valid] = U[D - 1, diff[valid]]
-    out = np.einsum("a...,akl->...kl", S, last, optimize=True)
+    out = np.einsum("a...,akl->...kl", S, U[D - 1, moff - ns], optimize=True)
     full = d ** D
     # axes currently (k_0, l_0, k_1, l_1, ...): split k's from l's
     perm = list(range(0, 2 * D, 2)) + list(range(1, 2 * D, 2))

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _scaled_powers
 from .errors import InputError
 from .gaussian import PhasePoint, bilinear_dot, tensor_rule
 from .hermite import FunctionRep
@@ -79,26 +80,12 @@ def transform_exact_on_nodes(f: FunctionRep, nodes: np.ndarray) -> np.ndarray:
     monomial prod_j (wbar_j / sqrt(2h))^(alpha_j) / sqrt(alpha_j!), so the
     transform of a FunctionRep is a finite monomial sum.
     """
-    from ._kernels import sqrt_factorials
-
     basis = f.basis
-    h, d, deg = basis.h, basis.dim, basis.max_degree
+    h, d = basis.h, basis.dim
     nodes = np.atleast_2d(np.asarray(nodes))
     wbar = (nodes[:, :d] - 1j * nodes[:, d:]) / math.sqrt(2.0 * h)
-    sf = sqrt_factorials(deg)
-    # per-coordinate monomial tables (deg+1, n)
-    tabs = []
-    for j in range(d):
-        powers = np.empty((deg + 1, nodes.shape[0]), dtype=complex)
-        powers[0] = 1.0
-        for p in range(deg):
-            powers[p + 1] = powers[p] * wbar[:, j]
-        tabs.append(powers / sf[:, None])
-    idx = basis.indices
-    mono = tabs[0][idx[:, 0]]
-    for j in range(1, d):
-        mono = mono * tabs[j][idx[:, j]]
-    return f.coeffs @ mono
+    tables = [_scaled_powers(wbar[:, j], basis.max_degree) for j in range(d)]
+    return f.coeffs @ basis.tensor(tables)
 
 
 def bilinear_sq_rows(v: np.ndarray) -> np.ndarray:

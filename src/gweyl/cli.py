@@ -13,6 +13,7 @@ quadrature grids, GW_MAX_SUBSETS bounds 2^|I| subset expansions.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -25,7 +26,10 @@ from . import __version__
 from .errors import GweylError, InputError, NumericalError, ResourceError
 from .gaussian import PhasePoint, exp_integral, gauss_quadrature, wick_moment
 from .heat import CoordinateSplit, decomposition_check, heat_full, smooth_symbol
-from .hermite import HermiteBasis, basis_element, coherent_state, constant_rep, FunctionRep
+from .hermite import (
+    FunctionRep, HermiteBasis, basis_element, coherent_state, complex_from_pairs,
+    constant_rep,
+)
 from .mc import SIGMA_FAIL, lattice_norm_probability, mc_integral, sample_brownian
 from .quantize import (
     IndexLadder,
@@ -66,6 +70,23 @@ def _metadata(cfg: dict) -> dict:
     }
 
 
+def _reads_config(read):
+    """Report a missing or mistyped config value as an InputError (exit 2)."""
+
+    @functools.wraps(read)
+    def checked(*args):
+        try:
+            return read(*args)
+        except InputError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed config value ({type(exc).__name__}: "
+                             f"{exc})") from exc
+
+    return checked
+
+
+@_reads_config
 def load_symbol(spec: dict) -> SymbolDescriptor:
     if not isinstance(spec, dict) or "family" not in spec:
         raise InputError("symbol spec must be an object with a 'family' key")
@@ -122,6 +143,7 @@ def _load_config(args) -> dict:
     return cfg
 
 
+@_reads_config
 def _basis_from(cfg: dict, dim: int) -> HermiteBasis:
     return HermiteBasis(dim, float(cfg.get("h", 0.5)), int(cfg.get("degree", 8)))
 
@@ -230,15 +252,16 @@ def _svg_plot(path: str, steps, metadata: dict):
         fh.write(svg)
 
 
+@_reads_config
+def _ladder_from(cfg: dict, dim: int) -> IndexLadder:
+    subsets = cfg.get("ladder", [range(k + 1) for k in range(dim)])
+    return IndexLadder(dim, tuple(tuple(s) for s in subsets))
+
+
 def cmd_converge(cfg: dict) -> int:
     sym = load_symbol(cfg.get("symbol", {}))
     basis = _basis_from(cfg, sym.dim)
-    if "ladder" in cfg:
-        ladder = IndexLadder(basis.dim, tuple(tuple(s) for s in cfg["ladder"]))
-    else:
-        ladder = IndexLadder(
-            basis.dim, tuple(tuple(range(k + 1)) for k in range(basis.dim))
-        )
+    ladder = _ladder_from(cfg, basis.dim)
     rep = ladder_run(sym, ladder, basis, cfg.get("order"))
     meta = _metadata(cfg)
     out = _outdir(cfg)
@@ -290,6 +313,7 @@ def cmd_wick(cfg: dict) -> int:
     return 0
 
 
+@_reads_config
 def _load_rep(spec: dict, basis: HermiteBasis):
     kind = spec.get("kind", "constant")
     if kind == "constant":
@@ -300,8 +324,7 @@ def _load_rep(spec: dict, basis: HermiteBasis):
         X = PhasePoint(np.asarray(spec["x"], float), np.asarray(spec["xi"], float))
         return coherent_state(X, basis.h, basis)
     if kind == "coeffs":
-        coeffs = np.array([complex(re, im) for re, im in spec["coeffs"]])
-        return FunctionRep(basis, coeffs)
+        return FunctionRep(basis, complex_from_pairs(spec["coeffs"]))
     raise InputError(f"unknown function kind {kind!r}")
 
 

@@ -15,8 +15,8 @@ Coherent states come in two flavours: the Gaussian one
     Psi_{X,h}(u) = exp(u.(a+ib)/h - |a|^2/(2h) - i a.b/(2h)),  X = (a, b),
 
 whose exact expansion coefficients in the basis are
-exp(-|X|^2/(4h)) (w_j/sqrt(2h))^k / sqrt(k!) per coordinate with w = a + ib,
-and the Lebesgue-normalized one used on the gamma side.
+exp(-|X|^2/(4h)) prod_j (w_j/sqrt(2h))^(alpha_j) / sqrt(alpha_j!) with
+w = a + ib, and the Lebesgue-normalized one used on the gamma side.
 """
 
 import itertools
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import hermite_table
+from ._kernels import _scaled_powers, hermite_table
 from .errors import InputError
 from .gaussian import (
     GaussianMeasure,
@@ -100,14 +100,17 @@ class HermiteBasis:
             for j in range(self.dim)
         ]
 
+    def tensor(self, tables) -> np.ndarray:
+        """Rows prod_j tables[j][alpha_j], one per basis multi-degree alpha."""
+        idx = self.indices
+        out = tables[0][idx[:, 0]]
+        for j in range(1, self.dim):
+            out = out * tables[j][idx[:, j]]
+        return out
+
     def eval_table(self, points: np.ndarray) -> np.ndarray:
         """Matrix of basis values, shape (size, n_points)."""
-        tables = self.coordinate_tables(points)
-        idx = self.indices
-        vals = tables[0][idx[:, 0]]
-        for j in range(1, self.dim):
-            vals = vals * tables[j][idx[:, j]]
-        return vals
+        return self.tensor(self.coordinate_tables(points))
 
     def default_rule(self, order: int | None = None) -> QuadratureRule:
         return gauss_quadrature(self.dim, self.variance, order)
@@ -148,20 +151,31 @@ class FunctionRep:
         return FunctionRep(self.basis, c * self.coeffs, self.underresolved)
 
     def to_json(self) -> str:
-        payload = {
+        return json.dumps({
             "dim": self.basis.dim,
             "h": self.basis.h,
             "max_degree": self.basis.max_degree,
-            "coeffs": [[float(z.real), float(z.imag)] for z in self.coeffs],
-        }
-        return json.dumps(payload)
+            "coeffs": complex_pairs(self.coeffs),
+        })
 
     @staticmethod
     def from_json(text: str) -> "FunctionRep":
         data = json.loads(text)
         basis = HermiteBasis(data["dim"], data["h"], data["max_degree"])
-        coeffs = np.array([complex(re, im) for re, im in data["coeffs"]])
-        return FunctionRep(basis, coeffs)
+        return FunctionRep(basis, complex_from_pairs(data["coeffs"]))
+
+
+def complex_pairs(values) -> list:
+    """JSON form of a complex array: flattened [re, im] rows."""
+    return np.stack([np.real(values), np.imag(values)], axis=-1).reshape(-1, 2).tolist()
+
+
+def complex_from_pairs(rows) -> np.ndarray:
+    """Flat complex array from [re, im] rows; inverse of ``complex_pairs``."""
+    pairs = np.asarray(rows, dtype=float)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InputError("complex values must be given as [re, im] pairs")
+    return pairs.view(complex).ravel()
 
 
 def constant_rep(basis: HermiteBasis, value=1.0) -> FunctionRep:
@@ -206,16 +220,6 @@ def project(f, basis: HermiteBasis, rule: QuadratureRule | None = None) -> Funct
     return FunctionRep(basis, coeffs)
 
 
-def _coherent_coeffs_1d(a: float, b: float, h: float, deg: int) -> np.ndarray:
-    w = complex(a, b)
-    out = np.empty(deg + 1, dtype=complex)
-    out[0] = math.exp(-(a * a + b * b) / (4.0 * h))
-    step = w / math.sqrt(2.0 * h)
-    for k in range(deg):
-        out[k + 1] = out[k] * step / math.sqrt(k + 1)
-    return out
-
-
 def coherent_state(X: PhasePoint, h: float, basis: HermiteBasis) -> FunctionRep:
     """Expansion of Psi_{X,h} in the basis (exact projection, closed form).
 
@@ -227,14 +231,8 @@ def coherent_state(X: PhasePoint, h: float, basis: HermiteBasis) -> FunctionRep:
         raise InputError("phase point dimension does not match basis")
     if abs(h - basis.h) > 1e-12 * max(1.0, h):
         raise InputError("coherent state h must match the basis h")
-    per_coord = [
-        _coherent_coeffs_1d(X.x[j], X.xi[j], h, basis.max_degree)
-        for j in range(basis.dim)
-    ]
-    idx = basis.indices
-    coeffs = per_coord[0][idx[:, 0]]
-    for j in range(1, basis.dim):
-        coeffs = coeffs * per_coord[j][idx[:, j]]
+    powers = _scaled_powers(X.w / math.sqrt(2.0 * h), basis.max_degree)
+    coeffs = math.exp(-X.norm_sq / (4.0 * h)) * basis.tensor(powers.T)
     flagged = X.norm_sq / (2.0 * h) > basis.max_degree / 4.0
     if flagged:
         warnings.warn(

@@ -84,9 +84,10 @@ from .errors import InputError, NumericalError, ResourceError
 from .gaussian import PhasePoint, gauss_hermite_1d, tensor_rule
 from .heat import CoordinateSplit, max_subset_size, op_T_I, smooth_symbol
 from .hermite import (
-    MAX_STABLE_DEGREE, FunctionRep, HermiteBasis, coherent_state, gamma_map,
+    MAX_STABLE_DEGREE, FunctionRep, HermiteBasis, coherent_state,
+    complex_from_pairs, complex_pairs, gamma_map,
 )
-from .symbols import SymbolDescriptor
+from .symbols import SymbolDescriptor, make_fourier_measure
 
 # flipped by the mutation fixtures in the test suite; any value other than
 # +1.0 corrupts the symmetric-kernel sign and must trip the oracle checks
@@ -121,8 +122,6 @@ class OperatorMatrix:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
     def to_json(self) -> str:
-        n = self.basis.size
-        flat = self.entries.reshape(n * n)
         return json.dumps(
             {
                 "basis": {
@@ -131,7 +130,7 @@ class OperatorMatrix:
                     "max_degree": self.basis.max_degree,
                 },
                 "meta": self.meta,
-                "entries": np.stack([flat.real, flat.imag], axis=1).tolist(),
+                "entries": complex_pairs(self.entries),
             }
         )
 
@@ -140,7 +139,7 @@ class OperatorMatrix:
         data = json.loads(text)
         basis = HermiteBasis(**data["basis"])
         n = basis.size
-        flat = np.asarray(data["entries"], dtype=float).view(complex)
+        flat = complex_from_pairs(data["entries"])
         return OperatorMatrix(basis, flat.reshape(n, n), data.get("meta", {}))
 
 
@@ -278,12 +277,18 @@ def _assemble_atoms(F: SymbolDescriptor, basis: HermiteBasis, modes) -> np.ndarr
         v = _mode_variance(modes[j], h)
         node = np.stack([-0.5 * h * b[:, j], -0.5 * h * a[:, j]], axis=1)
         tbl = _coord_table(h, "weyl", deg, node) * parity[None, :, None]
-        factors.append(tbl * np.exp(-0.5 * v * (a[:, j] ** 2 + b[:, j] ** 2)))
+        factors.append(np.moveaxis(
+            tbl * np.exp(-0.5 * v * (a[:, j] ** 2 + b[:, j] ** 2)), 2, 0))
+    return _kron_sum(c, factors, basis)
+
+
+def _kron_sum(c, factors, basis: HermiteBasis) -> np.ndarray:
+    """sum_n c_n factors[0][n] (x) ... (x) factors[D-1][n], in basis order."""
     out = None
     for n, cn in enumerate(c):
-        term = factors[0][:, :, n]
+        term = factors[0][n]
         for f in factors[1:]:
-            term = np.kron(term, f[:, :, n])
+            term = np.kron(term, f[n])
         out = cn * term if out is None else out + cn * term
     return _reindex(out, basis)
 
@@ -335,12 +340,8 @@ def _assemble_chain(F: SymbolDescriptor, basis: HermiteBasis, modes,
         _chain_site_table(data.site[j], modes[j], h, deg, moff, data.nmax, order)
         for j in range(D)
     ])
-    if D == 1:
-        kron = U[0, moff]
-    else:
-        a = np.stack([data.bond_c[b] for b in range(D - 1)])
-        kron = chain_contract(U, a, moff, data.nmax)
-    return _reindex(kron, basis)
+    a = np.reshape(data.bond_c, (D - 1, 2 * data.nmax + 1))
+    return _reindex(chain_contract(U, a), basis)
 
 
 def hybrid_matrix(F: SymbolDescriptor, split: CoordinateSplit,
@@ -434,12 +435,9 @@ def _classical_1d(F, basis: HermiteBasis, xs, wx, xis, wxi) -> np.ndarray:
     # 2nx - 1 points indexed by i + j, and the differences x_i - x_j on one
     # indexed by i - j + nx - 1.  The xi-quadrature of the kernel is then one
     # product G = (F(mids, xi) w_xi) @ exp(i xi diffs / h), and the kernel is
-    # the gather M1[i, j] = G[i + j, i - j + nx - 1].
+    # the gather M1[i, j] = G[i + j, i - j + nx - 1].  gb[k, i] = (gamma e_k)(x_i).
     h, nx = basis.h, xs.size
-    gb = np.array([
-        np.asarray(gamma_map(FunctionRep(basis, _unit(basis.size, k)), xs[:, None]))
-        for k in range(basis.size)
-    ])
+    gb = gamma_map(basis.eval_table, xs[:, None], h)
     mids = np.linspace(xs[0], xs[-1], 2 * nx - 1)
     diffs = (xs[1] - xs[0]) * np.arange(1 - nx, nx)
     z = np.repeat(mids, xis.size)[:, None]
@@ -452,25 +450,20 @@ def _classical_1d(F, basis: HermiteBasis, xs, wx, xis, wxi) -> np.ndarray:
     return (gw.conj() @ M1 @ gw.T) / (2.0 * math.pi * h)
 
 
-def _unit(n, k):
-    v = np.zeros(n, dtype=complex)
-    v[k] = 1.0
-    return v
-
-
 _DIAG_CACHE = {}      # identity residual per grid, oldest evicted first
 _DIAG_CACHE_CAP = 16
+_DIAG_TOL = 5e-6      # largest identity residual on F = 1 the oracle accepts
 
 
 def weyl_matrix_classical(F: SymbolDescriptor, basis: HermiteBasis,
-                          oversample: float = 3.5,
-                          diag_tol: float = 5e-6) -> OperatorMatrix:
+                          oversample: float = 3.5) -> OperatorMatrix:
     """Independent symmetric-quantization oracle via the oscillatory kernel.
 
     dim 1: dense Simpson grids, with an identity diagnostic on F = 1 that
-    aborts (NumericalError) when the resolution is insufficient.  dim 2 is
-    available for Fourier-atom symbols only, as sums of tensor products of
-    1-dim oracle matrices.
+    aborts (NumericalError) when its residual exceeds 5e-6, i.e. when the
+    resolution is insufficient.  dim 2 is available for Fourier-atom symbols
+    only: each atom's 1-dim oracle matrices per coordinate, joined by the
+    same Kronecker sum as the closed-form atom assembly.
     """
     d = basis.dim
     if d == 1:
@@ -493,10 +486,10 @@ def weyl_matrix_classical(F: SymbolDescriptor, basis: HermiteBasis,
             if len(_DIAG_CACHE) > _DIAG_CACHE_CAP:
                 del _DIAG_CACHE[next(iter(_DIAG_CACHE))]
         resid = _DIAG_CACHE[key]
-        if resid > diag_tol:
+        if resid > _DIAG_TOL:
             raise NumericalError(
                 f"classical-kernel resolution check failed: identity residual "
-                f"{resid:.3e} > {diag_tol:.1e} on grid {xs.size} x {xis.size}"
+                f"{resid:.3e} > {_DIAG_TOL:.1e} on grid {xs.size} x {xis.size}"
             )
         entries = _classical_1d(F, basis, xs, wx, xis, wxi)
         meta = {"symbol": F.name, "method": "weyl-classical", "h": basis.h,
@@ -505,21 +498,10 @@ def weyl_matrix_classical(F: SymbolDescriptor, basis: HermiteBasis,
         return OperatorMatrix(basis, entries, meta)
     if d == 2 and F.atoms is not None:
         b1 = HermiteBasis(1, basis.h, basis.max_degree)
-        out = None
-        for c, a, b in F.atoms:
-            mats = []
-            for j in range(2):
-                atom = SymbolDescriptor(
-                    1,
-                    (lambda aj, bj: lambda z, zeta: np.exp(
-                        1j * (aj * z[:, 0] + bj * zeta[:, 0])))(a[j], b[j]),
-                    name="atom",
-                    atoms=[(1.0, a[j:j + 1], b[j:j + 1])],
-                )
-                mats.append(weyl_matrix_classical(atom, b1, oversample).entries)
-            term = np.kron(mats[0], mats[1])
-            out = c * term if out is None else out + c * term
-        entries = _reindex(out, basis)
+        factors = [[weyl_matrix_classical(
+            make_fourier_measure([(1.0, a[j:j + 1], b[j:j + 1])], name="atom"),
+            b1, oversample).entries for _, a, b in F.atoms] for j in range(2)]
+        entries = _kron_sum([c for c, _, _ in F.atoms], factors, basis)
         meta = {"symbol": F.name, "method": "weyl-classical", "h": basis.h}
         return OperatorMatrix(basis, entries, meta)
     raise ResourceError(
@@ -592,13 +574,18 @@ def wick_symbol(A: OperatorMatrix, X: PhasePoint) -> complex:
 # norm bound and the truncation ladder
 # ---------------------------------------------------------------------------
 
-def cv_bound(M: float, eps, h: float) -> float:
-    """Operator-norm bound M prod_j (1 + 81 pi h S_eps eps_j^2), h in (0, 1]."""
+def _bound_factors(eps, h: float) -> np.ndarray:
+    """Per-coordinate factors x_j = 81 pi h S_eps eps_j^2, h in (0, 1]."""
     if not (0.0 < h <= 1.0):
         raise InputError(f"the norm bound requires h in (0, 1], got {h}")
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
     S = float(max(1.0, np.max(eps**2))) if eps.size else 1.0
-    return float(M * np.prod(1.0 + 81.0 * math.pi * h * S * eps**2))
+    return 81.0 * math.pi * h * S * eps**2
+
+
+def cv_bound(M: float, eps, h: float) -> float:
+    """Operator-norm bound M prod_j (1 + x_j); see ``_bound_factors``."""
+    return float(M * np.prod(1.0 + _bound_factors(eps, h)))
 
 
 @dataclass(frozen=True)
@@ -705,8 +692,7 @@ def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
     if F.class_eps is None or F.class_M is None:
         raise InputError("ladder symbols need derivative-class metadata (M, eps)")
     h = basis.h
-    if not (0.0 < h <= 1.0):
-        raise InputError("the ladder bound comparison requires h in (0, 1]")
+    x = _bound_factors(F.class_eps, h)
     if ladder.ambient_dim != basis.dim:
         raise InputError("ladder and basis dimensions must agree")
     first = ladder.subsets[0]
@@ -717,8 +703,6 @@ def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
         )
     eps = np.asarray(F.class_eps, dtype=float)
     M0 = float(F.class_M)
-    S = float(max(1.0, np.max(eps**2))) if eps.size else 1.0
-    x = 81.0 * math.pi * h * S * eps**2
 
     def hybrid(G, block):
         return hybrid_matrix(G, CoordinateSplit(basis.dim, block), basis,

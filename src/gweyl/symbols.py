@@ -669,33 +669,38 @@ def _fd_mixed(F: SymbolDescriptor, alpha, beta, pts_z, pts_zeta):
     return out / step**total
 
 
-def _deriv_samples(F: SymbolDescriptor, alpha, beta, pts_z, pts_zeta):
-    closed = F.derivative(alpha, beta, pts_z, pts_zeta)
-    if closed is not None:
-        return np.asarray(closed)
-    return _fd_mixed(F, alpha, beta, pts_z, pts_zeta)
+def _derivative_sweep(F: SymbolDescriptor, support, m: int, pts_z, pts_zeta):
+    """Yield (alpha, beta, values, closed) for every multi-index with entries
+    <= m on the support coordinates (zero elsewhere): the sampled derivative
+    in closed form when the family has one (closed = True), else by central
+    differences.  Raises ResourceError past MAX_CLASS_INDICES indices."""
+    count = (m + 1) ** (2 * len(support))
+    if count > MAX_CLASS_INDICES:
+        raise ResourceError(f"{count} multi-indices exceed the cap {MAX_CLASS_INDICES}")
+    for combo in itertools.product(range(m + 1), repeat=2 * len(support)):
+        alpha = np.zeros(F.dim, dtype=int)
+        beta = np.zeros(F.dim, dtype=int)
+        for pos, j in enumerate(support):
+            alpha[j] = combo[2 * pos]
+            beta[j] = combo[2 * pos + 1]
+        closed = F.derivative(alpha, beta, pts_z, pts_zeta)
+        if closed is None:
+            yield alpha, beta, _fd_mixed(F, alpha, beta, pts_z, pts_zeta), False
+        else:
+            yield alpha, beta, np.asarray(closed), True
 
 
 def norm_NIm(F: SymbolDescriptor, I, m: int, h: float, n_samples: int = 1000,
              radius: float | None = None, seed: int = 0) -> float:
     """Sum over multi-indices on I of h^((|a|+|b|)/2) * sampled sup |d^a d^b F|."""
     I = sorted(set(int(j) for j in I))
-    count = (m + 1) ** (2 * len(I))
-    if count > MAX_CLASS_INDICES:
-        raise ResourceError(f"{count} multi-indices exceed the cap {MAX_CLASS_INDICES}")
     if radius is None:
         radius = 5.0 * math.sqrt(h)
     pts = quasi_ball(n_samples, 2 * F.dim, radius, seed)
     pts = np.vstack([np.zeros((1, 2 * F.dim)), pts])
     pz, pzeta = pts[:, : F.dim].copy(), pts[:, F.dim:].copy()
     total = 0.0
-    for combo in itertools.product(range(m + 1), repeat=2 * len(I)):
-        alpha = np.zeros(F.dim, dtype=int)
-        beta = np.zeros(F.dim, dtype=int)
-        for pos, j in enumerate(I):
-            alpha[j] = combo[2 * pos]
-            beta[j] = combo[2 * pos + 1]
-        vals = _deriv_samples(F, alpha, beta, pz, pzeta)
+    for alpha, beta, vals, _ in _derivative_sweep(F, I, m, pz, pzeta):
         sup = float(np.max(np.abs(vals)))
         total += h ** (0.5 * (alpha.sum() + beta.sum())) * sup
     return total
@@ -729,9 +734,6 @@ def verify_class(F: SymbolDescriptor, m: int, M: float, eps,
     if support is None:
         support = list(range(F.dim))
     support = sorted(set(int(j) for j in support))
-    count = (m + 1) ** (2 * len(support))
-    if count > MAX_CLASS_INDICES:
-        raise ResourceError(f"{count} multi-indices exceed the cap {MAX_CLASS_INDICES}")
     if radius is None:
         radius = 5.0
     pts = quasi_ball(sample_count, 2 * F.dim, radius, seed)
@@ -739,18 +741,9 @@ def verify_class(F: SymbolDescriptor, m: int, M: float, eps,
     worst = 0.0
     worst_index = ((), ())
     method = "closed"
-    for combo in itertools.product(range(m + 1), repeat=2 * len(support)):
-        alpha = np.zeros(F.dim, dtype=int)
-        beta = np.zeros(F.dim, dtype=int)
-        for pos, j in enumerate(support):
-            alpha[j] = combo[2 * pos]
-            beta[j] = combo[2 * pos + 1]
-        closed = F.derivative(alpha, beta, pz, pzeta)
-        if closed is None:
+    for alpha, beta, vals, closed in _derivative_sweep(F, support, m, pz, pzeta):
+        if not closed:
             method = "finite-difference"
-            vals = _fd_mixed(F, alpha, beta, pz, pzeta)
-        else:
-            vals = np.asarray(closed)
         sup = float(np.max(np.abs(vals)))
         bound = M * float(np.prod(eps ** (alpha + beta)))
         if bound == 0.0:
@@ -760,8 +753,8 @@ def verify_class(F: SymbolDescriptor, m: int, M: float, eps,
         if ratio > worst:
             worst = ratio
             worst_index = (tuple(alpha), tuple(beta))
-    return ClassReport(worst, worst <= 1.0 + tol, count, sample_count,
-                       method, worst_index)
+    return ClassReport(worst, worst <= 1.0 + tol, (m + 1) ** (2 * len(support)),
+                       sample_count, method, worst_index)
 
 
 def stochastic_ext_defect(F: SymbolDescriptor, inner, outer, h: float,

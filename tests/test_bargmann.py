@@ -26,6 +26,28 @@ from gweyl.gaussian import tensor_rule
 from conftest import trapezoid_1d
 
 
+@pytest.mark.parametrize("dim,deg", [(1, 30), (2, 12), (3, 6)])
+def test_exact_transform_matches_monomial_sum(dim, deg):
+    # the monomial sum prod_j (wbar_j/sqrt(2h))^alpha_j / sqrt(alpha_j!) with
+    # powers by repeated products and factorials divided out at the end;
+    # float64 rounding over ~deg products: 1e-14 relative is fixed up front
+    h = 0.5
+    rng = np.random.default_rng(10 + dim)
+    basis = HermiteBasis(dim, h, deg)
+    f = FunctionRep(basis, rng.normal(size=basis.size)
+                    + 1j * rng.normal(size=basis.size))
+    nodes = rng.normal(size=(9, 2 * dim))
+    wbar = (nodes[:, :dim] - 1j * nodes[:, dim:]) / math.sqrt(2.0 * h)
+    sf = np.array([math.sqrt(math.factorial(k)) for k in range(deg + 1)])
+    mono = np.ones((basis.size, nodes.shape[0]), dtype=complex)
+    for j, alpha in enumerate(basis.indices.T):
+        powers = wbar[:, j][None, :] ** np.arange(deg + 1)[:, None]
+        mono = mono * (powers / sf[:, None])[alpha]
+    want = f.coeffs @ mono
+    got = transform_exact_on_nodes(f, nodes)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_transform_of_constant_is_one():
     basis = HermiteBasis(1, 0.5, 8)
     one = constant_rep(basis)

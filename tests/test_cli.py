@@ -96,6 +96,20 @@ def test_malformed_config_exits_2(tmp_path):
     assert run_cli(["quantize", "--config", str(tmp_path / "missing.json")]) == 2
     cfg = write_cfg(tmp_path, "fam.json", {"symbol": {"family": "nope"}})
     assert run_cli(["quantize", "--config", cfg]) == 2
+    # a missing key (KeyError), a non-integer degree (ValueError), a ladder
+    # that is not a list of subsets and coefficients that are not [re, im]
+    # pairs (TypeError) are input errors too, not verification failures
+    exp = {"family": "exponential", "a": [0.5], "b": [0.2]}
+    lattice = {"family": "lattice", "g": [0.3, 0.2]}
+    for name, command, payload in [
+        ("key.json", "quantize", {"symbol": {"family": "exponential", "b": [0.2]}}),
+        ("deg.json", "quantize", {"symbol": exp, "degree": "abc"}),
+        ("ladder.json", "converge", {"symbol": lattice, "degree": 1, "ladder": 5}),
+        ("coeffs.json", "wigner", {"degree": 1, "f": {"kind": "coeffs",
+                                                      "coeffs": [1, 2]}}),
+    ]:
+        payload["out"] = str(tmp_path / "out")
+        assert run_cli([command, "--config", write_cfg(tmp_path, name, payload)]) == 2
 
 
 def test_quantize_reproducible_outputs(tmp_path):

@@ -37,12 +37,12 @@ def test_orthonormality_dims_1_and_2():
         assert off < 1e-8
 
 
-def test_sqrt_factorials():
-    from gweyl._kernels import sqrt_factorials
+def test_scaled_powers():
+    from gweyl._kernels import _scaled_powers
 
-    np.testing.assert_allclose(sqrt_factorials(5),
-                               [math.sqrt(math.factorial(k)) for k in range(6)],
-                               rtol=1e-14)
+    s = np.array([1.0, -0.5 + 2.0j, 0.0])
+    want = [s**k / math.sqrt(math.factorial(k)) for k in range(6)]
+    np.testing.assert_allclose(_scaled_powers(s, 5), want, rtol=1e-14, atol=0)
 
 
 def test_graded_lex_ordering():
@@ -163,6 +163,35 @@ def test_coherent_state_matches_quadrature_projection():
     np.testing.assert_allclose(cs.coeffs, rep.coeffs, atol=1e-10)
 
 
+def _coherent_reference(X, h, basis):
+    # per coordinate e^{-|X_j|^2/(4h)} (w_j/sqrt(2h))^k / sqrt(k!) by
+    # recurrence in k, then the product over the basis multi-degrees
+    per_coord = []
+    for a, b in zip(X.x, X.xi):
+        c = np.empty(basis.max_degree + 1, dtype=complex)
+        c[0] = math.exp(-(a * a + b * b) / (4.0 * h))
+        for k in range(basis.max_degree):
+            c[k + 1] = c[k] * complex(a, b) / math.sqrt(2.0 * h) / math.sqrt(k + 1)
+        per_coord.append(c)
+    out = np.ones(basis.size, dtype=complex)
+    for j, alpha in enumerate(basis.indices.T):
+        out = out * per_coord[j][alpha]
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::gweyl.hermite.TruncationWarning")
+@pytest.mark.parametrize("dim,deg", [(1, 30), (2, 12), (3, 6)])
+def test_coherent_state_matches_recurrence(dim, deg):
+    # float64 rounding over ~deg products: 1e-14 relative is fixed up front
+    rng = np.random.default_rng(dim)
+    basis = HermiteBasis(dim, 0.5, deg)
+    for _ in range(4):
+        X = PhasePoint(rng.normal(size=dim), rng.normal(size=dim))
+        got = coherent_state(X, 0.5, basis).coeffs
+        want = _coherent_reference(X, 0.5, basis)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_coherent_overlap_closed_forms():
     h = 0.5
     U = PhasePoint([0.7], [0.1])
@@ -242,11 +271,17 @@ def test_function_rep_json_roundtrip():
     basis = HermiteBasis(2, 0.5, 3)
     rng = np.random.default_rng(2)
     f = FunctionRep(basis, rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size))
-    g = FunctionRep.from_json(f.to_json())
+    f.coeffs[:3] = [-0.0, complex(0.0, -0.0), complex(-0.0, 1e-300)]
+    text = f.to_json()
+    g = FunctionRep.from_json(text)
     assert g.basis == basis
-    np.testing.assert_allclose(g.coeffs, f.coeffs, rtol=0, atol=1e-16)
-    payload = json.loads(f.to_json())
+    # exact round trip, signed zeros included
+    assert g.coeffs.tobytes() == f.coeffs.tobytes()
+    payload = json.loads(text)
     assert set(payload) == {"dim", "h", "max_degree", "coeffs"}
+    per_entry = json.dumps({"dim": 2, "h": 0.5, "max_degree": 3, "coeffs": [
+        [float(z.real), float(z.imag)] for z in f.coeffs]})
+    assert text == per_entry
 
 
 def test_function_rep_shape_validation():

@@ -363,20 +363,34 @@ def test_chain_site_table_cache_is_bounded(monkeypatch):
     assert np.array_equal(again, first)
 
 
+def test_chain_contract_rejects_a_narrow_site_axis():
+    # bond index n in [-1, 1] reaches site frequencies in [-2, 2]; a site
+    # axis of [-1, 1] must raise rather than wrap a negative index
+    from gweyl._kernels import chain_contract
+
+    U = np.ones((2, 3, 2, 2), dtype=complex)
+    with pytest.raises(ValueError):
+        chain_contract(U, np.ones((1, 3)))
+    assert chain_contract(U, np.ones((1, 1))).shape == (4, 4)
+
+
 @pytest.mark.parametrize("selected", [(0, 1), (), (0,)])
 def test_chain_route_matches_dense_route(selected):
     # A weak coupling keeps the Bessel series short (nmax = 7), so the dense
     # order-48 grid resolves the symbol; measured max entry difference
     # 8.3e-15 (Weyl), 1.3e-15 (anti-Wick), 4.6e-15 (hybrid) on entries <= 0.94.
+    # The 1-site lattice (no bonds) takes the same chain_contract route.
     import dataclasses
 
-    F = make_lattice(LatticeSymbolParams(d=1, g=(0.3, 0.2), t=0.5, V="cos"), 2)
-    dense = dataclasses.replace(F, chain=None)
-    basis = HermiteBasis(2, H, 3)
-    split = CoordinateSplit(2, selected)
-    got = hybrid_matrix(F, split, basis).entries
-    want = hybrid_matrix(dense, split, basis).entries
-    assert np.abs(got - want).max() < 1e-12
+    for g in ((0.3, 0.2), (0.3,)):
+        D = len(g)
+        F = make_lattice(LatticeSymbolParams(d=1, g=g, t=0.5, V="cos"), 2)
+        dense = dataclasses.replace(F, chain=None)
+        basis = HermiteBasis(D, H, 3)
+        split = CoordinateSplit(D, tuple(j for j in selected if j < D))
+        got = hybrid_matrix(F, split, basis).entries
+        want = hybrid_matrix(dense, split, basis).entries
+        assert np.abs(got - want).max() < 1e-12
 
 
 def test_hybrid_tensor_factorization():
@@ -861,8 +875,6 @@ def test_weyl_form_derivative_norm_bound(rng):
 def test_form_agrees_with_explicit_kernel_integral(rng):
     # the triple-integral kernel route (transform values against the
     # three-point exponential kernel) reproduces the assembled entries
-    from gweyl._kernels import sqrt_factorials
-
     h = H
     basis = HermiteBasis(1, h, 4)
     F = random_trig_symbol(rng, positive=False, freq=1.2)
@@ -871,7 +883,7 @@ def test_form_agrees_with_explicit_kernel_integral(rng):
     nodesZ, wZ = tensor_rule([h / 2, h / 2], 32)
     wX = nodesXY[:, 0] + 1j * nodesXY[:, 1]
     wZv = nodesZ[:, 0] + 1j * nodesZ[:, 1]
-    sf = sqrt_factorials(basis.max_degree)
+    sf = [math.sqrt(math.factorial(k)) for k in range(basis.max_degree + 1)]
     fvals = F(nodesZ[:, :1], nodesZ[:, 1:]) * wZ
     cross = np.exp(-0.5 * np.outer(wX, np.conj(wX)) / h)       # Z-independent
     EX = np.exp(np.outer(wX, np.conj(wZv)) / h)                # exp(wX conj(wZ)/h)
