@@ -86,6 +86,23 @@ def _reads_config(read):
     return checked
 
 
+_REQUIRED = object()
+
+
+@_reads_config
+def _option(cfg: dict, key: str, cast, default=_REQUIRED):
+    """cast(cfg[key]); the default when the key is absent or null."""
+    if cfg.get(key) is None:
+        if default is _REQUIRED:
+            raise KeyError(key)
+        return default
+    return cast(cfg[key])
+
+
+def _ints(values) -> tuple:
+    return tuple(int(v) for v in values)
+
+
 @_reads_config
 def load_symbol(spec: dict) -> SymbolDescriptor:
     if not isinstance(spec, dict) or "family" not in spec:
@@ -163,17 +180,17 @@ def cmd_quantize(cfg: dict) -> int:
     sym = load_symbol(cfg.get("symbol", {}))
     basis = _basis_from(cfg, sym.dim)
     method = cfg.get("method", "weyl")
-    order = cfg.get("order")
+    order = _option(cfg, "order", int, None)
     if method == "weyl":
         op = weyl_matrix(sym, basis, order)
     elif method == "antiwick":
         op = antiwick_matrix(sym, basis, order)
     elif method == "hybrid":
-        split = CoordinateSplit(basis.dim, tuple(cfg.get("split", ())))
+        split = CoordinateSplit(basis.dim, _option(cfg, "split", _ints, ()))
         op = hybrid_matrix(sym, split, basis, order)
     elif method == "weyl_classical":
         op = weyl_matrix_classical(sym, basis,
-                                   oversample=float(cfg.get("oversample", 3.5)))
+                                   oversample=_option(cfg, "oversample", float, 3.5))
     else:
         raise InputError(f"unknown method {method!r}")
     meta = _metadata(cfg)
@@ -262,7 +279,7 @@ def cmd_converge(cfg: dict) -> int:
     sym = load_symbol(cfg.get("symbol", {}))
     basis = _basis_from(cfg, sym.dim)
     ladder = _ladder_from(cfg, basis.dim)
-    rep = ladder_run(sym, ladder, basis, cfg.get("order"))
+    rep = ladder_run(sym, ladder, basis, _option(cfg, "order", int, None))
     meta = _metadata(cfg)
     out = _outdir(cfg)
     rep.to_csv(os.path.join(out, "report.csv"), meta)
@@ -286,10 +303,10 @@ def cmd_wick(cfg: dict) -> int:
     sym = load_symbol(cfg.get("symbol", {}))
     basis = _basis_from(cfg, sym.dim)
     h = basis.h
-    n_pts = int(cfg.get("points", 20))
-    radius = float(cfg.get("radius", math.sqrt(h)))
-    pts = quasi_ball(n_pts, 2 * sym.dim, radius, int(cfg.get("seed", 0)))
-    op = weyl_matrix(sym, basis, cfg.get("order"))
+    n_pts = _option(cfg, "points", int, 20)
+    radius = _option(cfg, "radius", float, math.sqrt(h))
+    pts = quasi_ball(n_pts, 2 * sym.dim, radius, _option(cfg, "seed", int, 0))
+    op = weyl_matrix(sym, basis, _option(cfg, "order", int, None))
     rows = []
     worst = 0.0
     for p in pts:
@@ -329,13 +346,13 @@ def _load_rep(spec: dict, basis: HermiteBasis):
 
 
 def cmd_wigner(cfg: dict) -> int:
-    dim = int(cfg.get("dim", 1))
+    dim = _option(cfg, "dim", int, 1)
     basis = _basis_from(cfg, dim)
     f = _load_rep(cfg.get("f", {"kind": "constant"}), basis)
     g = _load_rep(cfg.get("g", cfg.get("f", {"kind": "constant"})), basis)
-    n = int(cfg.get("grid_points", 21))
-    zmax = float(cfg.get("zmax", 2.0))
-    zetamax = float(cfg.get("zetamax", 2.0))
+    n = _option(cfg, "grid_points", int, 21)
+    zmax = _option(cfg, "zmax", float, 2.0)
+    zetamax = _option(cfg, "zetamax", float, 2.0)
     if dim != 1:
         raise InputError("the plotting grid is 1-dim")
     zs, zetas = np.meshgrid(
@@ -354,12 +371,12 @@ def cmd_wigner(cfg: dict) -> int:
 
 def cmd_heat(cfg: dict) -> int:
     sym = load_symbol(cfg.get("symbol", {}))
-    t = float(cfg.get("t", 0.25))
-    n_pts = int(cfg.get("points", 10))
-    pts = quasi_ball(n_pts, 2 * sym.dim, float(cfg.get("radius", 2.0)),
-                     int(cfg.get("seed", 0)))
-    coords = cfg.get("coords")
-    G = smooth_symbol(sym, range(sym.dim) if coords is None else coords, t)
+    t = _option(cfg, "t", float, 0.25)
+    n_pts = _option(cfg, "points", int, 10)
+    pts = quasi_ball(n_pts, 2 * sym.dim, _option(cfg, "radius", float, 2.0),
+                     _option(cfg, "seed", int, 0))
+    coords = _option(cfg, "coords", _ints, tuple(range(sym.dim)))
+    G = smooth_symbol(sym, coords, t)
     vals = G(pts[:, : sym.dim], pts[:, sym.dim:])
     out = _outdir(cfg)
     meta = _metadata(cfg)
@@ -376,13 +393,13 @@ def cmd_heat(cfg: dict) -> int:
 
 def cmd_mc(cfg: dict) -> int:
     kind = cfg.get("experiment", "brownian")
-    seed = int(cfg.get("seed", 0))
-    h = float(cfg.get("h", 0.5))
+    seed = _option(cfg, "seed", int, 0)
+    h = _option(cfg, "h", float, 0.5)
     out = _outdir(cfg)
     meta = _metadata(cfg)
     if kind == "brownian":
-        K = int(cfg.get("K", 64))
-        n = int(cfg.get("n", 10000))
+        K = _option(cfg, "K", int, 64)
+        n = _option(cfg, "n", int, 10000)
         ens = sample_brownian(K, h, n, seed)
         ens.to_csv(os.path.join(out, "brownian.csv"), meta)
         var = float(np.var(ens.paths[:, -1]))
@@ -390,9 +407,10 @@ def cmd_mc(cfg: dict) -> int:
         result = {"meta": meta, "endpoint_variance": var, "expected": h,
                   "z_score": z, "pass": z < SIGMA_FAIL}
     elif kind == "lattice_norm":
-        rows = lattice_norm_probability(cfg["b"], float(cfg["eps"]), h,
-                                        cfg["ladder"], int(cfg.get("n", 100000)),
-                                        seed)
+        b_weights = _option(cfg, "b", lambda v: np.asarray(v, dtype=float))
+        rows = lattice_norm_probability(b_weights, _option(cfg, "eps", float), h,
+                                        _option(cfg, "ladder", _ints),
+                                        _option(cfg, "n", int, 100000), seed)
         with open(os.path.join(out, "lattice_norm.csv"), "w") as fh:
             for key, val in meta.items():
                 fh.write(f"# {key}={val}\n")
@@ -402,8 +420,8 @@ def cmd_mc(cfg: dict) -> int:
         worst = max(abs(mcv - exact) / max(se, 1e-12) for _, mcv, se, exact in rows)
         result = {"meta": meta, "worst_z": worst, "pass": worst < SIGMA_FAIL}
     elif kind == "integral":
-        a = np.asarray(cfg.get("a", [1.0]), float)
-        n = int(cfg.get("n", 100000))
+        a = _option(cfg, "a", lambda v: np.asarray(v, dtype=float), np.ones(1))
+        n = _option(cfg, "n", int, 100000)
         est, se = mc_integral(lambda x: np.exp(x @ a), a.shape[0], h, n, seed)
         want = exp_integral(a, h).real
         z = abs(est - want) / max(se, 1e-12)
@@ -496,7 +514,7 @@ def _verify_checks(seed: int):
 
 def cmd_verify(cfg: dict) -> int:
     pattern = cfg.get("filter", "")
-    seed = int(cfg.get("seed", 0))
+    seed = _option(cfg, "seed", int, 0)
     checks = _verify_checks(seed)
     report = {}
     failed = False
@@ -531,7 +549,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="gweyl",
         description="Quantization over Gaussian measures: operators, ladders, checks.",

@@ -19,7 +19,26 @@ the positive quantization.  A Fourier atom e^{i(a z + b zeta)} needs no
 quadrature: per coordinate it quantizes to a displacement operator, the
 symmetric pair table at the single point (-h b/2, -h a/2) with column parity
 (-1)^l, times exp(-v (a^2 + b^2) / 2) for the coordinate's variance v, so
-Fourier-measure symbols assemble in closed form at any dimension and degree.
+Fourier-measure symbols assemble in closed form at any dimension and degree;
+all atoms are contracted in one matrix product over the atom axis.
+
+A Gaussian symbol amp exp(-<A X, X>) is amp E e^{i omega.X} with omega =
+(a | b) ~ N(0, Sigma), Sigma = 2A, and is assembled as a finite mixture of
+such atoms, exactly at the truncation degree.  Per coordinate an atom's
+matrix is a polynomial of degree <= 2 deg in (a_j, b_j) times
+exp(-kappa_j (a_j^2 + b_j^2)), kappa_j = v_j / 2 (h/4 on "weyl", h/2 on
+"aw").  With Sigma = L L^T (rank r, from the eigendecomposition, so a
+singular form works), C = diag(kappa, kappa) and K = I + 2 L^T C L, the
+Gaussian factor folds into the measure:
+
+    M = det(K)^(-1/2) E_eta [ P(L K^(-1/2) eta) ],   eta ~ N(0, I_r),
+
+with P the polynomial part, of total degree <= 2 deg D in eta.  The
+order-q Gauss-Hermite tensor rule with q = deg D + 1 is exact for it, so the
+mixture has nodes omega_n = L K^(-1/2) eta_n and weights c_n = w_n
+det(K)^(-1/2) exp(omega_n^T C omega_n), formed in log space
+(omega_n^T C omega_n <= |eta_n|^2 / 2).  No phase-space grid is built.
+
 Nearest-neighbour chain symbols assemble from per-site quadrature tables at
 any dimension; generic symbols use a dense tensor grid (dim <= 2).  A chain
 site factor is a sum of separable terms e^{imz} g(zeta) on the q x q tensor
@@ -81,7 +100,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from ._kernels import bargmann_pair_table, chain_contract, wigner_pair_table
 from .errors import InputError, NumericalError, ResourceError
-from .gaussian import PhasePoint, gauss_hermite_1d, tensor_rule
+from .gaussian import PhasePoint, gauss_hermite_1d, max_nodes, tensor_rule
 from .heat import CoordinateSplit, max_subset_size, op_T_I, smooth_symbol
 from .hermite import (
     MAX_STABLE_DEGREE, FunctionRep, HermiteBasis, coherent_state,
@@ -228,10 +247,14 @@ def _reindex(kron_matrix: np.ndarray, basis: HermiteBasis) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _DENSE_BLOCK = 64     # first-coordinate nodes per block of the dim-2 grid
+_ATOM_CHUNK_BYTES = 1 << 27   # atom tables held at once by _assemble_atoms
+_RANK_TOL = 1e-13     # covariance eigenvalues below this share of the top are 0
+_MIXTURE_WORK = 4096  # Gaussian route: nodes * n^2 may not pass this * max_nodes()
 
 
 def _assemble_dense(F: SymbolDescriptor, basis: HermiteBasis, modes,
-                    order: int | None) -> np.ndarray:
+                    order: int | None):
+    """Tensor-grid quadrature of a generic symbol; returns (matrix, order used)."""
     D, h, deg = basis.dim, basis.h, basis.max_degree
     if D > 2:
         raise ResourceError("dense quantization grids are limited to dim <= 2")
@@ -263,38 +286,91 @@ def _assemble_dense(F: SymbolDescriptor, basis: HermiteBasis, modes,
         K = np.einsum("abx,xcd->bdac", tables[0], A, optimize=True)
         dd = deg + 1
         kron = K.reshape(dd * dd, dd * dd)
-    return _reindex(kron, basis)
+    return _reindex(kron, basis), base
 
 
-def _assemble_atoms(F: SymbolDescriptor, basis: HermiteBasis, modes) -> np.ndarray:
-    # closed form per coordinate: see the module docstring
+def _assemble_atoms(c, a, b, basis: HermiteBasis, modes) -> np.ndarray:
+    """sum_n c_n Op(e^{i(a_n.z + b_n.zeta)}) in closed form, in basis order.
+
+    Each atom is a displacement per coordinate (see the module docstring).
+    Its damping is a scalar per atom and its parity (-1)^|l| a sign per
+    column, so both are applied outside the tables.  Atoms are taken a chunk at a time,
+    so the tables held at once stay near _ATOM_CHUNK_BYTES.
+    """
     D, h, deg = basis.dim, basis.h, basis.max_degree
-    c, a, b = zip(*F.atoms)
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    parity = (-1.0) ** np.arange(deg + 1)
-    factors = []
-    for j in range(D):
-        v = _mode_variance(modes[j], h)
-        node = np.stack([-0.5 * h * b[:, j], -0.5 * h * a[:, j]], axis=1)
-        tbl = _coord_table(h, "weyl", deg, node) * parity[None, :, None]
-        factors.append(np.moveaxis(
-            tbl * np.exp(-0.5 * v * (a[:, j] ** 2 + b[:, j] ** 2)), 2, 0))
-    return _kron_sum(c, factors, basis)
+    d = deg + 1
+    v = np.array([_mode_variance(m, h) for m in modes])
+    c = c * np.exp(-0.5 * (a**2 + b**2) @ v)
+    # per atom: D tables and their temporaries, and the Kronecker tail
+    step = max(1, _ATOM_CHUNK_BYTES // (16 * (2 * D * d * d + d ** (2 * D - 2))))
+    kron = np.zeros((d ** D, d ** D), dtype=complex)
+    for lo in range(0, c.size, step):
+        part = slice(lo, lo + step)
+        nodes = [np.stack([-0.5 * h * b[part, j], -0.5 * h * a[part, j]], axis=1)
+                 for j in range(D)]
+        kron += _kron_sum(c[part], [_coord_table(h, "weyl", deg, x) for x in nodes])
+    return _reindex(kron, basis) * (-1.0) ** basis.indices.sum(axis=1)
 
 
-def _kron_sum(c, factors, basis: HermiteBasis) -> np.ndarray:
-    """sum_n c_n factors[0][n] (x) ... (x) factors[D-1][n], in basis order."""
-    out = None
-    for n, cn in enumerate(c):
-        term = factors[0][n]
-        for f in factors[1:]:
-            term = np.kron(term, f[n])
-        out = cn * term if out is None else out + cn * term
-    return _reindex(out, basis)
+def _kron_sum(c, factors) -> np.ndarray:
+    """sum_n c_n factors[0][..., n] (x) ... (x) factors[D-1][..., n].
+
+    factors[j] has shape (p_j, q_j, atoms); the result is in Kronecker order.
+    The later factors are joined atom by atom, then one matrix product over
+    the atom axis does the sum.
+    """
+    c = np.asarray(c, dtype=complex)
+    head = factors[0]
+    p, q, n = head.shape
+    if len(factors) == 1:
+        return (head.reshape(p * q, n) @ c).reshape(p, q)
+    tail = factors[-1]
+    for f in reversed(factors[1:-1]):
+        (fp, fq, _), (r, s, _) = f.shape, tail.shape
+        tail = np.einsum("pqn,rsn->prqsn", f, tail).reshape(fp * r, fq * s, n)
+    r, s, _ = tail.shape
+    out = (head * c).reshape(p * q, n) @ tail.reshape(r * s, n).T
+    return out.reshape(p, q, r, s).transpose(0, 2, 1, 3).reshape(p * r, q * s)
+
+
+def _gaussian_mixture(quad, basis: HermiteBasis, modes):
+    """Atoms (c, a, b) whose mixture is the matrix of amp exp(-<A X, X>).
+
+    Exact at the truncation degree; see the module docstring.
+    """
+    amp, A = quad
+    D, h, deg = basis.dim, basis.h, basis.max_degree
+    kappa = np.tile([0.5 * _mode_variance(m, h) for m in modes], 2)
+    lam, V = np.linalg.eigh(2.0 * A)
+    keep = lam > _RANK_TOL * lam.max() if lam.max() > 0 else lam > 0
+    L = V[:, keep] * np.sqrt(lam[keep])
+    r = L.shape[1]
+    kl, kv = np.linalg.eigh(np.eye(r) + 2.0 * (L.T * kappa) @ L)
+    G = L @ (kv / np.sqrt(kl))        # G G^T = L K^{-1} L^T
+    q = deg * D + 1
+    d = deg + 1
+    if q**r > max_nodes() or q**r * d ** (2 * D) > _MIXTURE_WORK * max_nodes():
+        raise ResourceError(
+            f"Gaussian symbol needs {q}^{r} nodes at degree {deg} in dim {D}, "
+            f"over the budget (GW_MAX_NODES)"
+        )
+    x, w = gauss_hermite_1d(q, 1.0)
+    eta, logw = np.zeros((1, 0)), np.zeros(1)
+    for _ in range(r):
+        eta = np.hstack([np.repeat(eta, q, axis=0), np.tile(x, eta.shape[0])[:, None]])
+        logw = (logw[:, None] + np.log(w)[None, :]).ravel()
+    omega = eta @ G.T
+    c = amp * np.exp(logw + omega**2 @ kappa - 0.5 * np.sum(np.log(kl)))
+    return c, omega[:, :D], omega[:, D:]
 
 
 _SITE_TABLE_CACHE = {}     # per-site tables, oldest evicted first
 _SITE_TABLE_CACHE_CAP = 64
+
+
+def _site_order(mode: str, h: float, nmax: int, order: int | None) -> int:
+    """Grid order of a chain site table: it resolves frequencies to nmax + 6."""
+    return _grid_order(mode, h, 64 if order is None else order, float(nmax + 6))
 
 
 def _chain_site_table(entries, mode: str, h: float, deg: int, moff: int,
@@ -307,8 +383,7 @@ def _chain_site_table(entries, mode: str, h: float, deg: int, moff: int,
     key = (entries, mode, h, deg, moff, nmax, order, _MUTATE_TABLE_SIGN)
     if key in _SITE_TABLE_CACHE:
         return _SITE_TABLE_CACHE[key]
-    base = order if order is not None else 64
-    q = _grid_order(mode, h, base, float(nmax + 6))
+    q = _site_order(mode, h, nmax, order)
     nodes, _ = _coord_grid(h, mode, q)
     # The grid is the q x q tensor rule in (z, zeta) and every site entry is
     # coef e^{-zvar m^2/2} e^{imz} times amp e^{-alpha zeta^2}, so each entry
@@ -330,7 +405,8 @@ def _chain_site_table(entries, mode: str, h: float, deg: int, moff: int,
 
 
 def _assemble_chain(F: SymbolDescriptor, basis: HermiteBasis, modes,
-                    order: int | None) -> np.ndarray:
+                    order: int | None):
+    """Chain symbol from per-site tables; returns (matrix, largest order used)."""
     data = F.chain
     D, h, deg = basis.dim, basis.h, basis.max_degree
     if data.nsites != D:
@@ -341,27 +417,39 @@ def _assemble_chain(F: SymbolDescriptor, basis: HermiteBasis, modes,
         for j in range(D)
     ])
     a = np.reshape(data.bond_c, (D - 1, 2 * data.nmax + 1))
-    return _reindex(chain_contract(U, a), basis)
+    q = max(_site_order(m, h, data.nmax, order) for m in modes)
+    return _reindex(chain_contract(U, a), basis), q
 
 
 def hybrid_matrix(F: SymbolDescriptor, split: CoordinateSplit,
                   basis: HermiteBasis, order: int | None = None) -> OperatorMatrix:
     """Matrix acting symmetrically on the selected block, positively elsewhere.
 
-    ``order`` sets the quadrature order of the chain and dense grids only;
-    Fourier-atom symbols are assembled in closed form and ignore it.
+    Routes, first match: Fourier atoms and Gaussian symbols in closed form
+    (``order`` is ignored), chain symbols from per-site grids, anything else
+    on a dense grid (dim <= 2).  ``order`` sets the quadrature order of the
+    last two.  ``meta`` records the route and its size: the atom or node
+    count, or the grid order actually used.
     """
     if split.ambient_dim != basis.dim or F.dim != basis.dim:
         raise InputError("symbol, split and basis dimensions must agree")
     modes = ["weyl" if j in split.selected else "aw" for j in range(basis.dim)]
-    if F.atoms is not None:
-        kron = _assemble_atoms(F, basis, modes)
-    elif F.chain is not None:
-        kron = _assemble_chain(F, basis, modes, order)
-    else:
-        kron = _assemble_dense(F, basis, modes, order)
     meta = {"symbol": F.name, "method": "hybrid", "h": basis.h,
-            "selected": list(split.selected), "order": order}
+            "selected": list(split.selected)}
+    if F.atoms is not None:
+        c, a, b = (np.array(v) for v in zip(*F.atoms))
+        kron = _assemble_atoms(c, a, b, basis, modes)
+        meta.update(route="atoms", atoms=int(c.size))
+    elif F.chain is not None:
+        kron, q = _assemble_chain(F, basis, modes, order)
+        meta.update(route="chain", order=q)
+    elif F.quad is not None:
+        c, a, b = _gaussian_mixture(F.quad, basis, modes)
+        kron = _assemble_atoms(c, a, b, basis, modes)
+        meta.update(route="gaussian", nodes=int(c.size))
+    else:
+        kron, q = _assemble_dense(F, basis, modes, order)
+        meta.update(route="dense", order=q)
     return OperatorMatrix(basis, kron, meta)
 
 
@@ -408,8 +496,6 @@ def _simpson_weights(n: int, step: float) -> np.ndarray:
 
 
 def _classical_grid(basis: HermiteBasis, shift: float, oversample: float):
-    from .gaussian import max_nodes
-
     h, deg = basis.h, basis.max_degree
     spread = math.sqrt(h * (2 * deg + 1))
     L = spread + 7.0 * math.sqrt(h) + shift
@@ -501,7 +587,8 @@ def weyl_matrix_classical(F: SymbolDescriptor, basis: HermiteBasis,
         factors = [[weyl_matrix_classical(
             make_fourier_measure([(1.0, a[j:j + 1], b[j:j + 1])], name="atom"),
             b1, oversample).entries for _, a, b in F.atoms] for j in range(2)]
-        entries = _kron_sum([c for c, _, _ in F.atoms], factors, basis)
+        entries = _reindex(_kron_sum([c for c, _, _ in F.atoms],
+                                     [np.stack(f, axis=-1) for f in factors]), basis)
         meta = {"symbol": F.name, "method": "weyl-classical", "h": basis.h}
         return OperatorMatrix(basis, entries, meta)
     raise ResourceError(
@@ -529,20 +616,29 @@ def oracle_U(a, b, h: float, basis: HermiteBasis,
     """Matrix of (U f)(u) = e^{-h|b|^2/2 + i h a.b/2 + i l_{a+ib}(u)} f(u + h b).
 
     Entries are quadratures of the defining expression; U is unitary, so the
-    compression has norm <= 1 up to quadrature error.
+    compression has norm <= 1 up to quadrature error.  The expression is a
+    product over coordinates, so each coordinate's 1-dim quadrature is taken
+    at the same order and the matrix is their Kronecker product.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape[0] != basis.dim or b.shape[0] != basis.dim:
         raise InputError("vector dimensions must match the basis")
     q = order if order is not None else max(96, 2 * basis.max_degree + 40)
-    rule = basis.default_rule(q)
-    pref = math.exp(-0.5 * h * float(b @ b)) * np.exp(0.5j * h * float(a @ b))
-    phase = np.exp(1j * (rule.nodes @ a) - rule.nodes @ b)
-    tk = basis.eval_table(rule.nodes)
-    tsh = basis.eval_table(rule.nodes + h * b[None, :])
-    entries = pref * ((tk * (rule.weights * phase)) @ tsh.T)
-    return OperatorMatrix(basis, entries,
+    b1 = HermiteBasis(1, basis.h, basis.max_degree)
+    rule = b1.default_rule(q)
+    x = rule.nodes[:, 0]
+    tk = b1.eval_table(rule.nodes)
+    factors = []
+    for aj, bj in zip(a, b):
+        pref = math.exp(-0.5 * h * (bj * bj)) * np.exp(0.5j * h * (aj * bj))
+        phase = np.exp(1j * (x * aj) - x * bj)
+        tsh = b1.eval_table(rule.nodes + h * bj)
+        factors.append(pref * ((tk * (rule.weights * phase)) @ tsh.T))
+    entries = factors[0]
+    for f in factors[1:]:
+        entries = np.kron(entries, f)
+    return OperatorMatrix(basis, _reindex(entries, basis),
                           {"method": "oracle-U", "a": a.tolist(), "b": b.tolist(),
                            "h": h})
 

@@ -10,8 +10,10 @@ A symbol is a function F(z, zeta) together with optional structure:
     stored exactly as a Bessel-Fourier series in z (I_n expansion, truncated
     at machine precision) times per-site Gaussian mixtures in zeta.  Gaussian
     smoothing acts closed-form on both factors.
-  * ``quad``: F(X) = exp(-t <T X, X>) for symmetric psd T; smoothing over any
-    coordinate block has a closed Gaussian-integral form.
+  * ``quad``: F(X) = amp exp(-<A X, X>) for symmetric psd A (the quadratic
+    family exp(-t <T X, X>) and its smoothings); smoothing over any
+    coordinate block has a closed Gaussian-integral form, and so has the
+    quantized matrix.
 
 Class metadata (m, M, eps) asserts the product derivative bound
 
@@ -177,7 +179,7 @@ class SymbolDescriptor:
     class_eps: np.ndarray | None = None
     atoms: list | None = None         # [(weight, a, b)]
     chain: ChainData | None = None
-    quad: tuple | None = None         # (T, t)
+    quad: tuple | None = None         # (amp, A): amp exp(-<A X, X>)
     deriv: object | None = None       # callable (alpha, beta, z, zeta)
     oracle: dict | None = None
     meta: dict = field(default_factory=dict)
@@ -223,8 +225,7 @@ class SymbolDescriptor:
             return chain_descriptor(data, name=f"H[{self.name}]",
                                     template=self)
         if self.quad is not None:
-            T, tq = self.quad
-            return _quadratic_smoothed(self, T, tq, coords, t)
+            return _gaussian_smoothed(self, coords, t)
         return None
 
     def restricted(self, coords):
@@ -331,30 +332,57 @@ def make_fourier_measure(atoms, dim: int | None = None, name="fourier") -> Symbo
     return sym
 
 
-def _quadratic_smoothed(sym, T, tq, coords, t):
-    D = sym.dim
-    idx = [j for j in coords] + [j + D for j in coords]
-    P = np.zeros((2 * D, len(idx)))
-    for col, row in enumerate(idx):
-        P[row, col] = 1.0
-    A = P.T @ T @ P
-    k = A.shape[0]
-    M = np.eye(k) + 2.0 * t * tq * A
-    Minv = np.linalg.inv(M)
-    amp = 1.0 / math.sqrt(np.linalg.det(M))
-    # int exp(-tq (X+Py)^T T (X+Py)) dN(y; 0, t I)
-    #   = amp * exp(-tq X^T T X + tq^2 2 t (P^T T X)^T Minv (P^T T X))
-    TP = T @ P
+def _gaussian_symbol(amp: float, A, name: str,
+                    meta: dict | None = None) -> SymbolDescriptor:
+    """F(X) = amp exp(-<A X, X>) for a symmetric positive semidefinite A.
+
+    Closed forms: derivatives to order 2, Gaussian smoothing, and (in
+    ``quantize``) the quantized matrix.
+    """
+    A = np.asarray(A, dtype=float)
+    D = A.shape[0] // 2
+
+    def phase_point(z, zeta):
+        return np.concatenate([np.atleast_2d(z), np.atleast_2d(zeta)], axis=1)
 
     def f(z, zeta):
-        X = np.concatenate([np.atleast_2d(z), np.atleast_2d(zeta)], axis=1)
-        quad = np.einsum("ni,ij,nj->n", X, T, X)
-        v = X @ TP
-        corr = np.einsum("ni,ij,nj->n", v, Minv, v)
-        return amp * np.exp(-tq * quad + 2.0 * t * tq * tq * corr)
+        X = phase_point(z, zeta)
+        return (amp * np.exp(-np.einsum("ni,ij,nj->n", X, A, X))).astype(complex)
 
-    return SymbolDescriptor(sym.dim, f, name=f"H[{sym.name}]", sup_norm=sym.sup_norm,
-                            meta=dict(sym.meta))
+    def deriv(alpha, beta, z, zeta):
+        order = int(sum(alpha) + sum(beta))
+        if order > 2:
+            return None
+        X = phase_point(z, zeta)
+        base = amp * np.exp(-np.einsum("ni,ij,nj->n", X, A, X))
+        grad = -2.0 * (X @ A)          # (n, 2D)
+        dirs = []
+        for j, aj in enumerate(alpha):
+            dirs.extend([j] * int(aj))
+        for j, bj in enumerate(beta):
+            dirs.extend([j + D] * int(bj))
+        if order == 0:
+            return base.astype(complex)
+        if order == 1:
+            return (grad[:, dirs[0]] * base).astype(complex)
+        i, j = dirs
+        return ((grad[:, i] * grad[:, j] - 2.0 * A[i, j]) * base).astype(complex)
+
+    return SymbolDescriptor(dim=D, func=f, name=name, sup_norm=abs(amp),
+                            quad=(amp, A), deriv=deriv, meta=dict(meta or {}))
+
+
+def _gaussian_smoothed(sym, coords, s):
+    # int amp exp(-<A(X + PY), X + PY>) dN(Y; 0, s I)
+    #   = amp det(M)^(-1/2) exp(-<(A - 2s AP M^-1 P^T A) X, X>),
+    # with P the inclusion of the smoothed (z_j, zeta_j) and M = I + 2s P^T A P
+    amp, A = sym.quad
+    idx = list(coords) + [j + sym.dim for j in coords]
+    AP = A[:, idx]
+    M = np.eye(len(idx)) + 2.0 * s * A[np.ix_(idx, idx)]
+    A2 = A - 2.0 * s * AP @ np.linalg.solve(M, AP.T)
+    return _gaussian_symbol(amp / math.sqrt(np.linalg.det(M)), 0.5 * (A2 + A2.T),
+                           name=f"H[{sym.name}]", meta=sym.meta)
 
 
 def make_quadratic(T, t: float) -> SymbolDescriptor:
@@ -369,34 +397,7 @@ def make_quadratic(T, t: float) -> SymbolDescriptor:
     eigs = np.linalg.eigvalsh(T)
     if eigs.min() < -1e-10:
         raise InputError("T must be positive semidefinite")
-    D = T.shape[0] // 2
-
-    def f(z, zeta):
-        X = np.concatenate([np.atleast_2d(z), np.atleast_2d(zeta)], axis=1)
-        return np.exp(-t * np.einsum("ni,ij,nj->n", X, T, X)).astype(complex)
-
-    def deriv(alpha, beta, z, zeta):
-        order = int(sum(alpha) + sum(beta))
-        if order > 2:
-            return None
-        X = np.concatenate([np.atleast_2d(z), np.atleast_2d(zeta)], axis=1)
-        base = np.exp(-t * np.einsum("ni,ij,nj->n", X, T, X))
-        grad = -2.0 * t * (X @ T)          # (n, 2D)
-        dirs = []
-        for j, aj in enumerate(alpha):
-            dirs.extend([j] * int(aj))
-        for j, bj in enumerate(beta):
-            dirs.extend([j + D] * int(bj))
-        if order == 0:
-            return base.astype(complex)
-        if order == 1:
-            return (grad[:, dirs[0]] * base).astype(complex)
-        i, j = dirs
-        return ((grad[:, i] * grad[:, j] - 2.0 * t * T[i, j]) * base).astype(complex)
-
-    return SymbolDescriptor(
-        dim=D, func=f, name="exp(-t<TX,X>)", sup_norm=1.0, quad=(T, t), deriv=deriv
-    )
+    return _gaussian_symbol(1.0, t * T, name="exp(-t<TX,X>)")
 
 
 @dataclass(frozen=True)

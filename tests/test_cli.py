@@ -107,9 +107,23 @@ def test_malformed_config_exits_2(tmp_path):
         ("ladder.json", "converge", {"symbol": lattice, "degree": 1, "ladder": 5}),
         ("coeffs.json", "wigner", {"degree": 1, "f": {"kind": "coeffs",
                                                       "coeffs": [1, 2]}}),
+        # values read inside the command functions
+        ("split.json", "quantize", {"symbol": exp, "method": "hybrid", "split": 3}),
+        ("points.json", "wick", {"symbol": exp, "degree": 2, "points": "x"}),
+        ("K.json", "mc", {"K": "x"}),
+        ("b.json", "mc", {"experiment": "lattice_norm", "eps": 1.2,
+                          "ladder": [1]}),
     ]:
         payload["out"] = str(tmp_path / "out")
         assert run_cli([command, "--config", write_cfg(tmp_path, name, payload)]) == 2
+
+
+def test_parser_is_built_once():
+    from gweyl.cli import build_parser
+
+    assert build_parser() is build_parser()
+    build_parser.cache_clear()
+    assert run_cli(["verify", "--filter", "basis_orthonormality"]) == 0
 
 
 def test_quantize_reproducible_outputs(tmp_path):

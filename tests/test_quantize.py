@@ -26,6 +26,7 @@ from gweyl import (
     make_exponential,
     make_fourier_measure,
     make_lattice,
+    make_quadratic,
     norm_NIm,
     operator_norm,
     oracle_U,
@@ -242,6 +243,142 @@ def test_classical_dim2_atoms_kron():
 
 
 # ---------------------------------------------------------------------------
+# Gaussian symbols in closed form
+# ---------------------------------------------------------------------------
+
+def _mehler_diagonal(amp, t, h, degree):
+    # Op^W(amp e^{-t(z^2 + zeta^2)}) is diagonal in the Hermite basis
+    th = t * h
+    return amp / (1 + th) * ((1 - th) / (1 + th)) ** np.arange(degree + 1)
+
+
+@pytest.mark.parametrize("degree", [16, 64, 100])
+def test_gaussian_route_matches_mehler(degree):
+    # anti-Wick of e^{-t|X|^2} is Weyl of its half-heat smoothing,
+    # amp e^{-t'|X|^2} with t' = t/(1+th) and amp = 1/(1+th)
+    import tracemalloc
+
+    t = 0.3
+    F = make_quadratic(np.eye(2), t)
+    basis = HermiteBasis(1, H, degree)
+    tracemalloc.start()
+    try:
+        W = weyl_matrix(F, basis)
+        A = antiwick_matrix(F, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert W.meta["route"] == A.meta["route"] == "gaussian"
+    assert W.meta["nodes"] == (degree + 1) ** 2
+    assert peak < 1 << 30
+    amp = 1.0 / (1.0 + t * H)
+    for M, want in ((W, _mehler_diagonal(1.0, t, H, degree)),
+                    (A, _mehler_diagonal(amp, t * amp, H, degree))):
+        assert np.abs(M.entries - np.diag(want)).max() < 1e-12
+
+
+def _random_psd(rng, n):
+    A = rng.normal(size=(n, n))
+    return A @ A.T / n + 0.1 * np.eye(n)
+
+
+@pytest.mark.parametrize("selected", [(0, 1), (), (0,), (1,)])
+def test_gaussian_route_matches_dense_dim2(selected):
+    # the dense grid at order 72 resolves this symbol to about 1e-15
+    from gweyl.quantize import _assemble_dense
+
+    F = make_quadratic(_random_psd(np.random.default_rng(5), 4), 0.5)
+    basis = HermiteBasis(2, H, 3)
+    M = hybrid_matrix(F, CoordinateSplit(2, selected), basis)
+    modes = ["weyl" if j in selected else "aw" for j in range(2)]
+    want, order = _assemble_dense(F, basis, modes, 72)
+    assert M.meta["route"] == "gaussian" and M.meta["nodes"] == 7**4
+    assert order == 72
+    assert np.abs(M.entries - want).max() < 1e-13
+
+
+def test_gaussian_route_degenerate_forms():
+    from gweyl.quantize import _assemble_dense
+
+    # T = 0: the identity from a single node
+    I = weyl_matrix(make_quadratic(np.zeros((2, 2)), 1.0), HermiteBasis(1, H, 6))
+    assert I.meta["nodes"] == 1
+    assert np.abs(I.entries - np.eye(7)).max() < 1e-15
+    # rank 1 in dim 1: F = e^{-z^2}, 7 nodes at degree 6
+    F = make_quadratic(np.diag([1.0, 0.0]), 1.0)
+    basis = HermiteBasis(1, H, 6)
+    M = weyl_matrix(F, basis)
+    assert M.meta["nodes"] == 7
+    want, _ = _assemble_dense(F, basis, ["weyl"], 120)
+    assert np.abs(M.entries - want).max() < 1e-13
+    # rank 2 in dim 2, on coordinate 0 only: Op(F) = Op_1(F_1) (x) I
+    F2 = make_quadratic(np.diag([1.0, 0.0, 0.5, 0.0]), 0.7)
+    F1 = make_quadratic(np.diag([1.0, 0.5]), 0.7)
+    b2, b1 = HermiteBasis(2, H, 4), HermiteBasis(1, H, 4)
+    M2 = hybrid_matrix(F2, CoordinateSplit(2, (1,)), b2)
+    assert M2.meta["nodes"] == 9**2
+    want = _reindex(np.kron(antiwick_matrix(F1, b1).entries, np.eye(5)), b2)
+    assert np.abs(M2.entries - want).max() < 1e-14
+
+
+def test_gaussian_route_node_budget(monkeypatch):
+    # (2 deg + 1)^4 nodes in dim 2, each a 2-coordinate table; past the
+    # budget the route raises before building anything
+    from gweyl.errors import ResourceError
+
+    F = make_quadratic(_random_psd(np.random.default_rng(5), 4), 0.5)
+    with pytest.raises(ResourceError):
+        weyl_matrix(F, HermiteBasis(2, H, 14))
+    assert weyl_matrix(F, HermiteBasis(2, H, 3)).meta["nodes"] == 7**4
+    monkeypatch.setenv("GW_MAX_NODES", "2000")
+    with pytest.raises(ResourceError):
+        weyl_matrix(F, HermiteBasis(2, H, 3))
+
+
+def test_smoothed_gaussian_stays_closed_form():
+    # hybrid on {0} equals Weyl of the symbol smoothed over coordinate 1,
+    # and both sides take the Gaussian route
+    F = make_quadratic(_random_psd(np.random.default_rng(6), 4), 0.6)
+    G = smooth_symbol(F, [1], H / 2)
+    assert G.quad is not None
+    basis = HermiteBasis(2, H, 4)
+    lhs = hybrid_matrix(F, CoordinateSplit(2, (0,)), basis)
+    rhs = weyl_matrix(G, basis)
+    assert lhs.meta["route"] == rhs.meta["route"] == "gaussian"
+    assert np.abs(lhs.entries - rhs.entries).max() < 1e-13
+    # the closed-form smoothing agrees with quadrature pointwise
+    from gweyl.heat import _quadrature_smoothed
+
+    Q = _quadrature_smoothed(F, [1], H / 2, order=24)
+    pts = np.random.default_rng(7).normal(size=(6, 4))
+    assert np.abs(G(pts[:, :2], pts[:, 2:]) - Q(pts[:, :2], pts[:, 2:])).max() < 1e-13
+
+
+def test_table_sign_mutation_reaches_gaussian_route(monkeypatch):
+    # a z-zeta coupling makes the form odd under the flipped table sign
+    F = make_quadratic(np.array([[1.0, 0.4], [0.4, 0.8]]), 0.5)
+    basis = HermiteBasis(1, H, 8)
+    good = weyl_matrix(F, basis).entries
+    monkeypatch.setattr(quantize, "_MUTATE_TABLE_SIGN", -1.0)
+    bad = weyl_matrix(F, basis).entries
+    assert np.abs(bad - good).max() > 1e-2
+
+
+def test_hybrid_meta_records_route():
+    basis = HermiteBasis(1, H, 4)
+    generic = SymbolDescriptor(
+        1, lambda z, zeta: np.exp(-z[:, 0] ** 2 - zeta[:, 0] ** 2), name="g")
+    assert weyl_matrix(generic, basis).meta["order"] == 80
+    assert weyl_matrix(generic, basis, order=30).meta["order"] == 30
+    F = make_lattice(LatticeSymbolParams(d=1, g=(0.3,), t=0.5, V="cos"), 2)
+    chain = weyl_matrix(F, basis).meta
+    assert chain["route"] == "chain" and chain["order"] > 64
+    atoms = weyl_matrix(make_exponential([0.3], [0.2]), basis, order=30).meta
+    assert atoms["route"] == "atoms" and atoms["atoms"] == 1
+    assert "order" not in atoms
+
+
+# ---------------------------------------------------------------------------
 # positive quantization
 # ---------------------------------------------------------------------------
 
@@ -441,6 +578,26 @@ def test_oracle_U_frozen_high_precision_entry():
     U = oracle_U([0.7], [-0.5], H, HermiteBasis(1, H, 4))
     want = 0.29250237763311261722 + 0.4095033286863576641j
     assert abs(U.entries[2, 1] - want) < 1e-12
+
+
+def _oracle_U_tensor(a, b, h, basis, order):
+    # reference: the defining quadrature on the full dim-D tensor rule
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    rule = basis.default_rule(order)
+    pref = math.exp(-0.5 * h * float(b @ b)) * np.exp(0.5j * h * float(a @ b))
+    phase = np.exp(1j * (rule.nodes @ a) - rule.nodes @ b)
+    tk = basis.eval_table(rule.nodes)
+    tsh = basis.eval_table(rule.nodes + h * b[None, :])
+    return pref * ((tk * (rule.weights * phase)) @ tsh.T)
+
+
+@pytest.mark.parametrize("dim, degree, order", [(2, 6, 60), (3, 3, 40)])
+def test_oracle_U_separable_matches_tensor_rule(dim, degree, order):
+    rng = np.random.default_rng(dim)
+    a, b = rng.uniform(-1.5, 1.5, dim), rng.uniform(-1.5, 1.5, dim)
+    basis = HermiteBasis(dim, H, degree)
+    got = oracle_U(a, b, H, basis, order).entries
+    assert np.abs(got - _oracle_U_tensor(a, b, H, basis, order)).max() < 1e-14
 
 
 @pytest.mark.parametrize("degree", [16, 24, 30, 64, 100])
