@@ -98,17 +98,19 @@ def bargmann_pair_table(tau, deg: int) -> np.ndarray:
 # so every m_j lies in [-2 noff, 2 noff], inside the site axis when
 # moff >= 2 noff.  A single site (D = 1) is its m = 0 table.  The output is
 # returned flattened in kron (row-major per-site) order.  It is staged as a
-# tensor train: one BLAS contraction per bond.
+# tensor train: one BLAS contraction per bond.  The inputs keep their dtype:
+# chain symbols pass real tables (the rotated basis of ``quantize``), so the
+# whole train runs in float64.
 # ---------------------------------------------------------------------------
 
 def chain_contract(U, a) -> np.ndarray:
     """Contract site tables along the bond chain; see the comment above."""
-    U = np.ascontiguousarray(U, dtype=np.complex128)
+    U = np.ascontiguousarray(U)
     D, d = U.shape[0], U.shape[2]
     moff = (U.shape[1] - 1) // 2
     if D == 1:
         return U[0, moff].copy()
-    a = np.ascontiguousarray(a, dtype=np.complex128)
+    a = np.ascontiguousarray(a)
     noff = (a.shape[1] - 1) // 2
     if moff < 2 * noff:
         raise ValueError(f"site tables reach |m| <= {moff}, bonds need {2 * noff}")

@@ -37,7 +37,12 @@ with P the polynomial part, of total degree <= 2 deg D in eta.  The
 order-q Gauss-Hermite tensor rule with q = deg D + 1 is exact for it, so the
 mixture has nodes omega_n = L K^(-1/2) eta_n and weights c_n = w_n
 det(K)^(-1/2) exp(omega_n^T C omega_n), formed in log space
-(omega_n^T C omega_n <= |eta_n|^2 / 2).  No phase-space grid is built.
+(omega_n^T C omega_n <= |eta_n|^2 / 2).  No phase-space grid is built.  The
+rule's nodes pair as +-eta with equal weights, and per coordinate
+W[k, l](-s) = (-1)^(k+l) W[k, l](s), so a pair's two atoms agree where
+|k| + |l| is even and cancel where it is odd: one atom per pair is assembled
+with its weight doubled (an odd rule's centre node once), and the
+parity-odd block is set to exactly 0.
 
 Nearest-neighbour chain symbols assemble from per-site quadrature tables at
 any dimension; generic symbols use a dense tensor grid (dim <= 2).  A chain
@@ -45,6 +50,18 @@ site factor is a sum of separable terms e^{imz} g(zeta) on the q x q tensor
 grid, so a site table contracts the pair table over zeta once per term and
 then over z for every frequency m at once: one pass over the q^2 grid per
 term instead of one per frequency.
+
+The chain route runs in real arithmetic.  A site factor e^{imz} g(zeta) has
+g real and even, and both pair tables satisfy G(z, -zeta) = conj G(z, zeta)
+and G(-Z) = (-1)^(k+l) G(Z), so a site table U[m, k, l] is real where k + l
+is even and imaginary where it is odd: in the rotated basis i^k e_k the
+table V[m, k, l] = i^(k-l) U[m, k, l] is real.  The bonds are real, so the
+chain of the V is a real matrix M~ = i^(|k|-|l|) M.  The symbol is also even
+under X -> -X (real palindromic bonds, even sites), so M commutes with the
+parity (-1)^|k|: its parity-odd block (|k| + |l| odd) is exactly 0, and
+elsewhere M = i^(|l|-|k|) M~ = sigma_k sigma_l M~ with sigma = (-1)^floor(|k|/2).
+So the chain matrix is real symmetric, written with exact zeros, and its
+norm is taken one real parity block at a time (see ``operator_norm``).
 
 The independent oracle ``weyl_matrix_classical`` builds the operator from
 the oscillatory integral
@@ -95,7 +112,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import eigvalsh
-from scipy.linalg.blas import zgemv
+from scipy.linalg.blas import dgemv, zgemv
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from ._kernels import bargmann_pair_table, chain_contract, wigner_pair_table
@@ -166,16 +183,44 @@ _HERMITIAN_TOL = 1e-13   # defect relative to max |entry| treated as Hermitian
 _LANCZOS_MIN_N = 128     # above this size Lanczos beats the dense eigensolver
 
 
+def _parity(basis: HermiteBasis) -> np.ndarray:
+    """Parity |k| mod 2 of each basis element."""
+    return basis.indices.sum(axis=1) % 2
+
+
+def _parity_odd(basis: HermiteBasis) -> np.ndarray:
+    """Mask of the parity-odd block: entries [k, l] with |k| + |l| odd."""
+    p = _parity(basis)
+    return p[:, None] != p[None, :]
+
+
 def operator_norm(A) -> float:
     """Spectral norm (largest singular value); 0.0 if empty.
 
-    Hermitian input has norm max |eigenvalue|: dense ``eigvalsh`` up to
-    n = 128, above that one Lanczos eigenpair (ARPACK ``eigsh``) from a fixed
-    seeded start, so the result is bit-reproducible, falling back to the
-    dense eigensolver if ARPACK does not converge.  Anything else takes a
-    dense SVD.
+    An ``OperatorMatrix`` whose parity-odd block (|k| + |l| odd) is exactly
+    zero commutes with the parity (-1)^|k|, so its norm is the larger of its
+    two parity blocks' norms, each block about n/2.  A matrix whose imaginary
+    part is exactly zero is taken in float64.  Hermitian input has norm
+    max |eigenvalue|: dense ``eigvalsh`` up to n = 128, above that one
+    Lanczos eigenpair (ARPACK ``eigsh``) from a fixed seeded start, so the
+    result is bit-reproducible, falling back to the dense eigensolver if
+    ARPACK does not converge.  Anything else takes a dense SVD.
     """
-    M = A.entries if isinstance(A, OperatorMatrix) else np.asarray(A, dtype=complex)
+    M = A.entries if isinstance(A, OperatorMatrix) else np.asarray(A)
+    if not np.iscomplexobj(M):
+        M = M.astype(float, copy=False)
+    elif not M.imag.any():
+        M = M.real
+    if isinstance(A, OperatorMatrix):
+        even = _parity(A.basis) == 0
+        if not (M[np.ix_(even, ~even)].any() or M[np.ix_(~even, even)].any()):
+            return max(_dense_norm(M[np.ix_(even, even)]),
+                       _dense_norm(M[np.ix_(~even, ~even)]))
+    return _dense_norm(M)
+
+
+def _dense_norm(M: np.ndarray) -> float:
+    """``operator_norm`` of one dense float64 or complex128 matrix."""
     if M.size == 0:
         return 0.0
     n = M.shape[0]
@@ -186,10 +231,11 @@ def operator_norm(A) -> float:
         # ARPACK runs on scipy's BLAS, so the matvec does too: a numpy matvec
         # alternates between two OpenBLAS thread pools, which made eigsh about
         # 50x slower at n = 256 under default threading on 2 CPUs.  Mt is M^T
-        # in Fortran order (no copy), and trans=1 applies its transpose, M.
+        # in Fortran order, and trans=1 applies its transpose, M.
         Mt = np.asfortranarray(M.T)
-        op = LinearOperator((n, n), dtype=complex,
-                            matvec=lambda x: zgemv(1.0, Mt, np.ravel(x), trans=1))
+        gemv = zgemv if np.iscomplexobj(M) else dgemv
+        op = LinearOperator((n, n), dtype=M.dtype,
+                            matvec=lambda x: gemv(1.0, Mt, np.ravel(x), trans=1))
         v0 = np.random.default_rng(0).standard_normal(n)
         try:
             top = eigsh(op, k=1, which="LM", v0=v0, return_eigenvectors=False)
@@ -334,9 +380,13 @@ def _kron_sum(c, factors) -> np.ndarray:
 
 
 def _gaussian_mixture(quad, basis: HermiteBasis, modes):
-    """Atoms (c, a, b) whose mixture is the matrix of amp exp(-<A X, X>).
+    """Atoms (c, a, b) and the rule's node count for amp exp(-<A X, X>).
 
-    Exact at the truncation degree; see the module docstring.
+    The nodes come in pairs +-eta with equal weights, and the atoms of a
+    pair agree on the parity-even block and cancel on the odd one, so one
+    node of each pair is returned with its weight doubled (the centre node,
+    for an odd count, once): the mixture's parity-even block is the matrix,
+    exactly at the truncation degree; see the module docstring.
     """
     amp, A = quad
     D, h, deg = basis.dim, basis.h, basis.max_degree
@@ -359,9 +409,14 @@ def _gaussian_mixture(quad, basis: HermiteBasis, modes):
     for _ in range(r):
         eta = np.hstack([np.repeat(eta, q, axis=0), np.tile(x, eta.shape[0])[:, None]])
         logw = (logw[:, None] + np.log(w)[None, :]).ravel()
-    omega = eta @ G.T
-    c = amp * np.exp(logw + omega**2 @ kappa - 0.5 * np.sum(np.log(kl)))
-    return c, omega[:, :D], omega[:, D:]
+    # the rule is symmetric, node N-1-i is -(node i) for N = q^r nodes, and
+    # for odd N the centre node N // 2 counts once
+    N = eta.shape[0]
+    half = (N + 1) // 2
+    fold = np.where(np.arange(half) == N // 2, 1.0, 2.0)
+    omega = eta[:half] @ G.T
+    c = amp * fold * np.exp(logw[:half] + omega**2 @ kappa - 0.5 * np.sum(np.log(kl)))
+    return c, omega[:, :D], omega[:, D:], N
 
 
 _SITE_TABLE_CACHE = {}     # per-site tables, oldest evicted first
@@ -416,9 +471,17 @@ def _assemble_chain(F: SymbolDescriptor, basis: HermiteBasis, modes,
         _chain_site_table(data.site[j], modes[j], h, deg, moff, data.nmax, order)
         for j in range(D)
     ])
+    # rotated tables i^(k-l) U are real (see the module docstring); their
+    # chain is M~ = i^(|k|-|l|) M, and M vanishes where |l| - |k| is odd.
+    # Where it is even, i^(|l|-|k|) = sigma_k sigma_l, sigma = (-1)^floor(|k|/2).
+    k = np.arange(deg + 1)
+    V = (U * np.array([1, 1j, -1, -1j])[(k[:, None] - k[None, :]) % 4]).real
     a = np.reshape(data.bond_c, (D - 1, 2 * data.nmax + 1))
+    sigma = 1.0 - 2.0 * (basis.indices.sum(axis=1) // 2 % 2)
+    M = sigma[:, None] * _reindex(chain_contract(V, a), basis) * sigma
+    M[_parity_odd(basis)] = 0.0
     q = max(_site_order(m, h, data.nmax, order) for m in modes)
-    return _reindex(chain_contract(U, a), basis), q
+    return M, q
 
 
 def hybrid_matrix(F: SymbolDescriptor, split: CoordinateSplit,
@@ -444,9 +507,10 @@ def hybrid_matrix(F: SymbolDescriptor, split: CoordinateSplit,
         kron, q = _assemble_chain(F, basis, modes, order)
         meta.update(route="chain", order=q)
     elif F.quad is not None:
-        c, a, b = _gaussian_mixture(F.quad, basis, modes)
+        c, a, b, nodes = _gaussian_mixture(F.quad, basis, modes)
         kron = _assemble_atoms(c, a, b, basis, modes)
-        meta.update(route="gaussian", nodes=int(c.size))
+        kron[_parity_odd(basis)] = 0.0
+        meta.update(route="gaussian", nodes=nodes)
     else:
         kron, q = _assemble_dense(F, basis, modes, order)
         meta.update(route="dense", order=q)
@@ -817,12 +881,12 @@ def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
             diff_bound = None
         else:
             fresh = [j for j in lam if j not in prev]
-            diff_norm = operator_norm(current - running)
+            diff_norm = operator_norm(OperatorMatrix(basis, current - running))
             diff_bound = steps[-1].cv_bound * math.expm1(np.sum(np.log1p(x[fresh])))
         tail = float(np.sum(eps[[j for j in range(basis.dim) if j not in lam]] ** 2))
         cv_n = float(M0 * np.prod(1.0 + x[list(lam)]))
         steps.append(LadderStep(n, len(lam), diff_norm, diff_bound, tail,
-                                operator_norm(current), cv_n))
+                                operator_norm(OperatorMatrix(basis, current)), cv_n))
         prev = lam
         running = current
 

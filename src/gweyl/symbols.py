@@ -50,10 +50,15 @@ class ZetaGauss:
     """One mixture entry: coef * amp * exp(-alpha zeta^2), with an extra
     exp(-zvar m^2 / 2) damping on the Fourier side (accumulated z-smoothing)."""
 
-    coef: complex
+    coef: float
     amp: float
     alpha: float
     zvar: float
+
+    def __post_init__(self):
+        if np.imag(self.coef) != 0:
+            raise InputError("chain site coefficients must be real")
+        object.__setattr__(self, "coef", float(np.real(self.coef)))
 
     def smoothed(self, s: float) -> "ZetaGauss":
         den = 1.0 + 2.0 * s * self.alpha
@@ -63,12 +68,25 @@ class ZetaGauss:
 
 @dataclass(frozen=True)
 class ChainData:
-    """Exact Fourier-in-z, Gaussian-mixture-in-zeta form of a chain symbol."""
+    """Exact Fourier-in-z, Gaussian-mixture-in-zeta form of a chain symbol.
+
+    Bond vectors must be real and palindromic (c_n = c_{-n}), so each bond
+    factor is real and even in z_b - z_{b+1}: with the real, even site
+    mixtures the symbol is real and even under X -> -X, which the chain
+    quantization route relies on (see ``quantize``).
+    """
 
     nsites: int
     nmax: int
-    bond_c: tuple          # per bond: complex array of length 2*nmax+1
+    bond_c: tuple          # per bond: real palindromic array of length 2*nmax+1
     site: tuple            # per site: tuple of ZetaGauss entries
+
+    def __post_init__(self):
+        for c in self.bond_c:
+            if np.any(np.imag(c) != 0) or not np.array_equal(c, c[::-1]):
+                raise InputError("bond vectors must be real and palindromic")
+        object.__setattr__(self, "bond_c",
+                           tuple(np.real(c).astype(float) for c in self.bond_c))
 
     @property
     def mrange(self):
@@ -433,7 +451,7 @@ def _bessel_coeffs(c: float) -> np.ndarray:
         coeffs.append(val)
         n += 1
     nmax = len(coeffs) - 1
-    out = np.zeros(2 * nmax + 1, dtype=complex)
+    out = np.zeros(2 * nmax + 1)
     for k in range(-nmax, nmax + 1):
         out[k + nmax] = (-1.0) ** k * coeffs[abs(k)]
     return out
@@ -505,7 +523,7 @@ def make_lattice(params: LatticeSymbolParams, m: int) -> SymbolDescriptor:
         padded = []
         for c in bond_c:
             k = len(c) // 2
-            p = np.zeros(2 * nmax + 1, dtype=complex)
+            p = np.zeros(2 * nmax + 1)
             p[nmax - k: nmax + k + 1] = c
             padded.append(p)
         site = tuple(

@@ -321,6 +321,26 @@ def test_gaussian_route_degenerate_forms():
     assert np.abs(M2.entries - want).max() < 1e-14
 
 
+def test_gaussian_route_folds_the_node_pairs():
+    # nodes pair as +-eta with equal weights: one atom per pair with its
+    # weight doubled, the centre once, and a parity-odd block of exact zeros
+    from gweyl.quantize import _assemble_atoms, _gaussian_mixture
+
+    F = make_quadratic(_random_psd(np.random.default_rng(5), 4), 0.5)
+    basis = HermiteBasis(2, H, 3)
+    modes = ["weyl", "aw"]
+    c, a, b, nodes = _gaussian_mixture(F.quad, basis, modes)
+    assert nodes == 7**4 and c.size == (7**4 + 1) // 2
+    assert np.abs(np.r_[a[-1], b[-1]]).max() < 1e-15     # the centre node
+    M = hybrid_matrix(F, CoordinateSplit(2, (0,)), basis).entries
+    p = basis.indices.sum(axis=1) % 2
+    assert not M[p[:, None] != p[None, :]].any()
+    w = c / np.r_[np.full(c.size - 1, 2.0), 1.0]
+    full = _assemble_atoms(np.r_[w, w[:-1]], np.r_[a, -a[:-1]], np.r_[b, -b[:-1]],
+                           basis, modes)
+    assert np.abs(full - M).max() < 1e-14
+
+
 def test_gaussian_route_node_budget(monkeypatch):
     # (2 deg + 1)^4 nodes in dim 2, each a 2-coordinate table; past the
     # budget the route raises before building anything
@@ -509,6 +529,49 @@ def test_chain_contract_rejects_a_narrow_site_axis():
     with pytest.raises(ValueError):
         chain_contract(U, np.ones((1, 3)))
     assert chain_contract(U, np.ones((1, 1))).shape == (4, 4)
+
+
+def test_chain_contract_keeps_real_inputs_real():
+    from gweyl._kernels import chain_contract
+
+    rng = np.random.default_rng(8)
+    U = rng.normal(size=(3, 5, 2, 2))
+    out = chain_contract(U, rng.normal(size=(2, 3)))
+    assert out.dtype == np.float64 and out.shape == (8, 8)
+
+
+def _reference_chain(F, basis, modes):
+    # the complex chain, contracted term by term over the bond indices of a
+    # 4-site lattice from the complex site tables
+    data, deg = F.chain, basis.max_degree
+    U = [quantize._chain_site_table(data.site[j], modes[j], basis.h, deg,
+                                    data.mrange, data.nmax, None) for j in range(4)]
+    ns = np.arange(-data.nmax, data.nmax + 1)
+    diff = ns[None, :] - ns[:, None] + data.mrange
+    a0, a1, a2 = (np.asarray(c, dtype=complex) for c in data.bond_c)
+    K = np.einsum("a,b,c,aij,abkl,bcmn,cop->ikmojlnp", a0, a1, a2,
+                  U[0][ns + data.mrange], U[1][diff], U[2][diff],
+                  U[3][data.mrange - ns], optimize=True)
+    d = deg + 1
+    return _reindex(K.reshape(d**4, d**4), basis)
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_chain_route_is_real_with_an_exact_zero_odd_block(degree):
+    # criterion 03's lattice is real and even in each zeta_j and under
+    # X -> -X, so every chain matrix is real with a zero parity-odd block
+    g = tuple(0.5 * 0.7**j for j in range(4))
+    F = make_lattice(LatticeSymbolParams(d=1, g=g, t=1.0, V="cos"), 2)
+    basis = HermiteBasis(4, H, degree)
+    p = basis.indices.sum(axis=1) % 2
+    odd = p[:, None] != p[None, :]
+    for selected in [(0, 1, 2, 3), (), (0, 1)]:
+        M = hybrid_matrix(F, CoordinateSplit(4, selected), basis)
+        assert M.meta["route"] == "chain"
+        assert not M.entries.imag.any()
+        assert not M.entries[odd].any()
+        modes = ["weyl" if j in selected else "aw" for j in range(4)]
+        assert np.abs(M.entries - _reference_chain(F, basis, modes)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("selected", [(0, 1), (), (0,)])
@@ -724,35 +787,75 @@ def _odd_top_hermitian(n=301):
     return A + 5.0 * np.outer(u, u)
 
 
+def _parity_block_operator(seed=6):
+    # real symmetric and zero where |k| + |l| is odd, on the 4-site degree-4
+    # basis (n = 625): the parity blocks have 313 (even) and 312 (odd) rows
+    basis = HermiteBasis(4, H, 4)
+    M = _random_hermitian(basis.size, seed).real
+    p = basis.indices.sum(axis=1) % 2
+    M[p[:, None] != p[None, :]] = 0.0
+    return OperatorMatrix(basis, M)
+
+
 def _counting(monkeypatch, name):
     calls = []
     real = getattr(quantize, name)
 
     def wrapped(*args, **kwargs):
-        calls.append(args[0].shape[0])
+        calls.append((args[0].shape[0], np.dtype(args[0].dtype).kind))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(quantize, name, wrapped)
     return calls
 
 
-@pytest.mark.parametrize("case", ["dense-100", "lanczos-625", "lanczos-odd-top"])
+# per case: the (size, dtype kind) of each Lanczos and each dense eigensolve
+_NORM_BRANCHES = {
+    "dense-100": ([], [(100, "c")]),
+    "lanczos-625": ([(625, "c")], []),
+    "lanczos-odd-top": ([(301, "c")], []),
+    "real-symmetric-625": ([(625, "f")], []),
+    "parity-blocks-625": ([(313, "f"), (312, "f")], []),
+}
+
+
+@pytest.mark.parametrize("case", list(_NORM_BRANCHES))
 def test_operator_norm_hermitian_branches_are_exact(monkeypatch, case):
     M = {"dense-100": lambda: _random_hermitian(100, 1),
          "lanczos-625": lambda: _random_hermitian(625, 2),
-         "lanczos-odd-top": _odd_top_hermitian}[case]()
+         "lanczos-odd-top": _odd_top_hermitian,
+         "real-symmetric-625": lambda: _random_hermitian(625, 2).real,
+         "parity-blocks-625": _parity_block_operator}[case]()
     if case == "lanczos-odd-top":
         w, V = np.linalg.eigh(M)
         top = V[:, np.argmax(np.abs(w))]
         assert np.abs(top + top[::-1]).max() < 1e-12
     lanczos = _counting(monkeypatch, "eigsh")
     dense = _counting(monkeypatch, "eigvalsh")
-    want = float(np.linalg.norm(M, 2))
+    entries = M.entries if isinstance(M, OperatorMatrix) else M
+    want = float(np.linalg.norm(entries, 2))
     got = operator_norm(M)
     assert got == pytest.approx(want, rel=1e-12)
-    n = M.shape[0]
-    assert (lanczos, dense) == (([n], []) if n > 128 else ([], [n]))
+    assert (lanczos, dense) == _NORM_BRANCHES[case]
     assert operator_norm(M) == got   # bit-identical from the seeded start
+
+
+def test_operator_norm_splits_only_an_exactly_zero_odd_block(monkeypatch):
+    # one nonzero parity-odd entry: the matrix no longer commutes with the
+    # parity, so its norm is the full matrix's, not the larger block's
+    A = _parity_block_operator()
+    blocks = operator_norm(A)
+    p = A.basis.indices.sum(axis=1) % 2
+    k, l = int(np.argmax(p == 0)), int(np.argmax(p == 1))
+    entries = A.entries.copy()
+    entries[k, l] = 10.0 * blocks
+    B = OperatorMatrix(A.basis, entries)
+    lanczos = _counting(monkeypatch, "eigsh")
+    dense = _counting(monkeypatch, "eigvalsh")
+    want = float(np.linalg.norm(entries, 2))
+    assert want > 9.0 * blocks
+    assert operator_norm(B) == pytest.approx(want, rel=1e-12)
+    assert (lanczos, dense) == ([], [])    # not Hermitian: one dense SVD
 
 
 def test_operator_norm_non_hermitian_takes_svd(monkeypatch):

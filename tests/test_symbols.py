@@ -18,7 +18,7 @@ from gweyl import (
     verify_class,
 )
 from gweyl.gaussian import tensor_rule
-from gweyl.symbols import LatticeSymbolParams, quasi_ball
+from gweyl.symbols import ChainData, LatticeSymbolParams, ZetaGauss, quasi_ball
 
 
 def test_exponential_metadata():
@@ -125,6 +125,24 @@ def test_lattice_custom_potential_requires_bounds():
     assert F.chain is None  # no closed Fourier route for a custom potential
     z = np.zeros((1, 2))
     assert F(z, z)[0] == pytest.approx(1.0)
+
+
+def test_chain_data_requires_real_palindromic_bonds():
+    # the chain quantization route needs each bond factor real and even
+    F = make_lattice(LatticeSymbolParams(d=1, g=(0.5, 0.35, 0.25), t=1.0, V="cos"), 2)
+    data = F.chain
+    assert all(c.dtype == np.float64 for c in data.bond_c)
+    assert isinstance(data.site[0][0].coef, float)
+    c = data.bond_c[0].copy()
+    c[0] += 1e-3
+    for bad in (c, data.bond_c[0] * (1 + 1e-3j)):
+        with pytest.raises(InputError):
+            ChainData(data.nsites, data.nmax, (bad, data.bond_c[1]), data.site)
+    with pytest.raises(InputError):
+        ZetaGauss(1j, 1.0, 1.0, 0.0)
+    same = ChainData(data.nsites, data.nmax, tuple(b.astype(complex) for b in data.bond_c),
+                     data.site)
+    assert all(c.dtype == np.float64 for c in same.bond_c)
 
 
 def test_norm_Nm_values():
