@@ -32,45 +32,9 @@ import numpy as np
 from ._kernels import _scaled_powers
 from .errors import InputError
 from .gaussian import PhasePoint, bilinear_dot, tensor_rule
-from .hermite import FunctionRep
+from .hermite import FunctionRep, contract_kron
 
 SEMINORM_ORDER_BUMP = 8
-SEMINORM_CUTOFF_FACTOR = 8.0  # nominal support radius, units of sqrt(h)
-
-
-def transform_on_nodes(f: FunctionRep, nodes: np.ndarray,
-                       order: int | None = None) -> np.ndarray:
-    """Evaluate (T f) on phase nodes laid out as (n, 2d) = (x | xi).
-
-    The y-quadrature order adapts to the farthest node: the integrand
-    exp(y.(x - i xi)/h) against mu_{h/2} peaks at y ~ |x - i xi|/2 and the
-    rule must reach it.
-    """
-    basis = f.basis
-    h, d = basis.h, basis.dim
-    nodes = np.atleast_2d(np.asarray(nodes))
-    wbar = nodes[:, :d] - 1j * nodes[:, d:]
-    if order is None:
-        far = float(np.max(np.abs(wbar))) if wbar.size else 0.0
-        sigma = math.sqrt(0.5 * h)
-        need = int(math.ceil((0.5 * far + 6.0 * sigma + 2.0) ** 2 / h))
-        order = min(max(64, need), 400)
-    rule = basis.default_rule(order)
-    fvals = f(rule.nodes)
-    with np.errstate(divide="ignore"):  # underflowed tail weights -> -inf is fine
-        logw = np.log(rule.weights)[:, None]
-    inner = np.empty(nodes.shape[0], dtype=complex)
-    step = max(1, int(2e7) // max(1, rule.nodes.shape[0]))
-    # fold the weights into the exponent and peak-shift so the largest
-    # retained term is O(1): far targets would otherwise overflow
-    shift = np.empty(nodes.shape[0])
-    for lo in range(0, nodes.shape[0], step):
-        hi = min(lo + step, nodes.shape[0])
-        expo = logw + rule.nodes @ wbar[lo:hi].T / h
-        m = np.max(expo.real, axis=0)
-        inner[lo:hi] = fvals @ np.exp(expo - m[None, :])
-        shift[lo:hi] = m
-    return np.exp(shift - bilinear_sq_rows(wbar) / (4.0 * h)) * inner
 
 
 def transform_exact_on_nodes(f: FunctionRep, nodes: np.ndarray) -> np.ndarray:
@@ -85,18 +49,14 @@ def transform_exact_on_nodes(f: FunctionRep, nodes: np.ndarray) -> np.ndarray:
     nodes = np.atleast_2d(np.asarray(nodes))
     wbar = (nodes[:, :d] - 1j * nodes[:, d:]) / math.sqrt(2.0 * h)
     tables = [_scaled_powers(wbar[:, j], basis.max_degree) for j in range(d)]
-    return f.coeffs @ basis.tensor(tables)
+    return contract_kron(basis.kron_tensor(f.coeffs), tables)
 
 
-def bilinear_sq_rows(v: np.ndarray) -> np.ndarray:
-    return np.sum(v * v, axis=-1)
-
-
-def bargmann(f: FunctionRep, Z: PhasePoint, order: int | None = None) -> complex:
-    """(T f)(Z) by quadrature."""
+def bargmann(f: FunctionRep, Z: PhasePoint) -> complex:
+    """(T f)(Z), exact for the truncated representation."""
     if Z.dim != f.basis.dim:
         raise InputError("phase point dimension does not match the representation")
-    return complex(transform_on_nodes(f, Z.as_array()[None, :], order)[0])
+    return complex(transform_exact_on_nodes(f, Z.as_array()[None, :])[0])
 
 
 @dataclass
@@ -104,7 +64,6 @@ class BargmannFn:
     """Transform of a FunctionRep with pointwise evaluation on phase points."""
 
     rep: FunctionRep
-    order: int | None = None
 
     @property
     def h(self):
@@ -112,8 +71,8 @@ class BargmannFn:
 
     def __call__(self, Z):
         if isinstance(Z, PhasePoint):
-            return bargmann(self.rep, Z, self.order)
-        return transform_on_nodes(self.rep, Z, self.order)
+            return bargmann(self.rep, Z)
+        return transform_exact_on_nodes(self.rep, Z)
 
     def cr_residual(self, points: np.ndarray, step: float = 1e-5) -> float:
         """Max discrete Cauchy-Riemann residual |d/dw (T f)| on a test grid.
@@ -140,9 +99,9 @@ class BargmannFn:
 def bargmann_isometry_defect(f: FunctionRep, order: int | None = None) -> float:
     """| ||T f||_{L^2(mu_{2d,h})} - ||f||_{L^2(mu_{d,h/2})} |, both by quadrature.
 
-    In dim 1 the transform values come from the adaptive quadrature; in
-    higher dimension from the closed monomial form (the outer phase-space
-    quadrature is the measured quantity either way).
+    The transform values come from the closed monomial form and ||f|| from
+    point values of f on a Gauss-Hermite rule; the two quadratures, over
+    phase space and over R^d, are the measured quantities.
     """
     basis = f.basis
     d, h = basis.dim, basis.h
@@ -150,10 +109,7 @@ def bargmann_isometry_defect(f: FunctionRep, order: int | None = None) -> float:
     norm_f = math.sqrt(float(rule_f.weights @ np.abs(f(rule_f.nodes)) ** 2))
     outer_order = order if order is not None else (64 if d == 1 else 20)
     nodes, weights = tensor_rule([h] * (2 * d), outer_order)
-    if d == 1:
-        tf = transform_on_nodes(f, nodes)
-    else:
-        tf = transform_exact_on_nodes(f, nodes)
+    tf = transform_exact_on_nodes(f, nodes)
     norm_tf = math.sqrt(float(weights @ np.abs(tf) ** 2))
     return abs(norm_tf - norm_f)
 

@@ -204,6 +204,7 @@ def cmd_quantize(cfg: dict) -> int:
         "symbol": sym.name,
         "norm": operator_norm(op),
         "hermiticity_defect": op.hermiticity_defect(),
+        **{k: op.meta[k] for k in ("route", "atoms", "nodes", "order") if k in op.meta},
     }
     if sym.oracle is not None and sym.oracle.get("kind") == "U" and method == "weyl":
         U = oracle_U(sym.oracle["a"], sym.oracle["b"], basis.h, basis)

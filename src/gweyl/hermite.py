@@ -24,6 +24,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +54,16 @@ def multi_indices(dim: int, max_degree: int) -> np.ndarray:
     return np.array(idx, dtype=np.int64).reshape(len(idx), dim)
 
 
+def contract_kron(tensor: np.ndarray, tables) -> np.ndarray:
+    """sum_a tensor[a_1, ..., a_d] prod_j tables[j][a_j, p] for each point p,
+    one coordinate at a time: no (tensor size x points) product is formed."""
+    out = tables[0].T @ tensor.reshape(tensor.shape[0], -1)
+    for t in tables[1:]:
+        out = out.reshape(out.shape[0], t.shape[0], -1)
+        out = np.einsum("pab,ap->pb", out, t)
+    return out[:, 0]
+
+
 @dataclass(frozen=True)
 class HermiteBasis:
     """Truncated tensor Hermite basis of L^2(mu_{dim, h/2})."""
@@ -73,9 +84,19 @@ class HermiteBasis:
         """Variance h/2 of the orthogonality measure."""
         return 0.5 * self.h
 
-    @property
+    @cached_property
     def indices(self) -> np.ndarray:
-        return multi_indices(self.dim, self.max_degree)
+        """Multi-degrees in basis order (read-only)."""
+        idx = multi_indices(self.dim, self.max_degree)
+        idx.flags.writeable = False
+        return idx
+
+    @cached_property
+    def kron_positions(self) -> np.ndarray:
+        """Place of each basis element in the row-major Kronecker layout (read-only)."""
+        pos = self.indices @ (self.max_degree + 1) ** np.arange(self.dim - 1, -1, -1)
+        pos.flags.writeable = False
+        return pos
 
     @property
     def size(self) -> int:
@@ -112,6 +133,12 @@ class HermiteBasis:
         """Matrix of basis values, shape (size, n_points)."""
         return self.tensor(self.coordinate_tables(points))
 
+    def kron_tensor(self, coeffs: np.ndarray) -> np.ndarray:
+        """Coefficients scattered into the Kronecker tensor, shape (deg+1,)*dim."""
+        out = np.zeros(self.size, dtype=coeffs.dtype)
+        out[self.kron_positions] = coeffs
+        return out.reshape((self.max_degree + 1,) * self.dim)
+
     def default_rule(self, order: int | None = None) -> QuadratureRule:
         return gauss_quadrature(self.dim, self.variance, order)
 
@@ -133,8 +160,8 @@ class FunctionRep:
         self.coeffs = c
 
     def __call__(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.coeffs @ self.basis.eval_table(points)
+        tables = self.basis.coordinate_tables(points)
+        return contract_kron(self.basis.kron_tensor(self.coeffs), tables)
 
     @property
     def norm(self) -> float:

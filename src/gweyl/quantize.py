@@ -276,15 +276,8 @@ def _grid_order(mode: str, h: float, base: int, max_freq: float) -> int:
     return base + int(math.ceil(0.75 * max_freq**2 * v))
 
 
-def _kron_positions(basis: HermiteBasis) -> np.ndarray:
-    d = basis.max_degree + 1
-    idx = basis.indices
-    strides = d ** np.arange(basis.dim - 1, -1, -1)
-    return idx @ strides
-
-
 def _reindex(kron_matrix: np.ndarray, basis: HermiteBasis) -> np.ndarray:
-    pos = _kron_positions(basis)
+    pos = basis.kron_positions
     return kron_matrix[np.ix_(pos, pos)]
 
 

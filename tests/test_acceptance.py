@@ -6,6 +6,7 @@ lines and measured margins.  Tolerances are pinned here and nowhere else.
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gweyl import (
     FunctionRep,
     HermiteBasis,
     IndexLadder,
+    LowConfidenceWarning,
     PhasePoint,
     antiwick_equals_smoothed_weyl_check,
     antiwick_matrix,
@@ -40,6 +42,7 @@ from gweyl import (
     wick_moment,
     wick_symbol,
     wigner_gauss,
+    wigner_grid,
     wigner_via_bargmann,
 )
 from gweyl.gaussian import tensor_rule
@@ -178,21 +181,33 @@ def test_criterion_07_isometry_and_pair_transform_bounds():
     rng = np.random.default_rng(SEED + 5)
     basis = HermiteBasis(1, 1.0, 5)
     worst_factor = 0.0
+    worst_route = 0.0
+    checked = 0
     nodes, w = tensor_rule([0.25, 0.25], 48)
     for _ in range(5):
         f = FunctionRep(basis, rng.normal(size=basis.size)
                         + 1j * rng.normal(size=basis.size))
         g = FunctionRep(basis, rng.normal(size=basis.size)
                         + 1j * rng.normal(size=basis.size))
-        vals = np.array([
-            wigner_gauss(f, g, PhasePoint(n[:1], n[1:])) for n in nodes
-        ])
+        vals = wigner_grid(f, g, nodes[:, :1], nodes[:, 1:]).values
         norm = math.sqrt(float(w @ np.abs(vals) ** 2))
         worst_factor = max(worst_factor, norm / (f.norm * g.norm))
         assert norm <= f.norm * g.norm * (1 + 1e-6)
+        # the closed form against the defining quadrature, wherever the
+        # quadrature does not flag its own rounding
+        for n, val in zip(nodes, vals):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", LowConfidenceWarning)
+                direct = wigner_gauss(f, g, PhasePoint(n[:1], n[1:]))
+            if not caught:
+                checked += 1
+                worst_route = max(worst_route,
+                                  abs(direct - val) / (f.norm * g.norm))
+    assert worst_route <= 1e-9
     print(f"ACCEPTANCE 07 isometry/pair-transform bounds: PASS "
           f"(worst defect {worst_defect:.2e} < 1e-6, worst norm factor "
-          f"{worst_factor:.9f} <= 1+1e-6)")
+          f"{worst_factor:.9f} <= 1+1e-6, closed form vs quadrature "
+          f"{worst_route:.2e} <= 1e-9 on {checked} unflagged nodes)")
 
 
 def test_criterion_08_decomposition_identity():

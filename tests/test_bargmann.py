@@ -21,7 +21,7 @@ from gweyl import (
     weyl_kernel,
     wigner_coherent,
 )
-from gweyl.bargmann import transform_exact_on_nodes, transform_on_nodes
+from gweyl.bargmann import transform_exact_on_nodes
 from gweyl.gaussian import tensor_rule
 from conftest import trapezoid_1d
 
@@ -220,7 +220,7 @@ def test_coherent_expansion_reconstructs_coefficients():
     coeffs = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     f = FunctionRep(basis, coeffs)
     nodes, w = tensor_rule([2 * h, 2 * h], 60)
-    tf = transform_on_nodes(f, nodes)
+    tf = transform_exact_on_nodes(f, nodes)
     rec = np.zeros(basis.size, dtype=complex)
     with warnings.catch_warnings():
         # far-node coherent coefficients are tiny against the weights; the

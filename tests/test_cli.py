@@ -32,6 +32,7 @@ def test_quantize_exponential_with_oracle_residual(tmp_path, capsys):
     assert run_cli(["quantize", "--config", cfg]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["oracle_residual"] < 1e-5
+    assert (summary["route"], summary["atoms"]) == ("atoms", 1)
     op = json.loads((out / "operator.json").read_text())
     assert op["basis"] == {"dim": 1, "h": 0.5, "max_degree": 10}
     assert len(op["entries"]) == 11 * 11
@@ -261,6 +262,30 @@ def test_wigner_command(tmp_path):
     assert any(l.startswith("# version=") for l in lines)
     data = [l for l in lines if not l.startswith("#")]
     assert len(data) == 1 + 49
+
+
+@pytest.mark.parametrize("zetamax", [4.0, 5.0])
+def test_wigner_command_matches_coherent_closed_form(tmp_path, zetamax):
+    # far from the origin the pair transform grows like exp(|Z|^2/h); the
+    # grid must follow the closed form there, not quadrature rounding
+    from gweyl import PhasePoint, wigner_coherent
+
+    out = tmp_path / "wig"
+    cfg = write_cfg(tmp_path, "c.json", {
+        "f": {"kind": "coherent", "x": [0.3], "xi": [-0.2]},
+        "dim": 1, "h": H, "degree": 30, "zmax": 2.0, "zetamax": zetamax,
+        "out": str(out),
+    })
+    assert run_cli(["wigner", "--config", cfg]) == 0
+    lines = (out / "wigner.csv").read_text().splitlines()
+    data = np.array([[float(v) for v in l.split(",")]
+                     for l in lines if not l.startswith(("#", "z0"))])
+    X = PhasePoint([0.3], [-0.2])
+    want = np.array([wigner_coherent(X, X, PhasePoint([z], [zeta]), H)
+                     for z, zeta in data[:, :2]])
+    got = data[:, 2] + 1j * data[:, 3]
+    assert len(got) == 21 * 21
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_heat_command(tmp_path):

@@ -170,9 +170,7 @@ def test_l2_norm_bound(rng):
     cg = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     f, g = FunctionRep(basis, cf), FunctionRep(basis, cg)
     nodes, w = tensor_rule([h / 4, h / 4], 48)
-    vals = np.array([
-        wigner_gauss(f, g, PhasePoint(n[:1], n[1:])) for n in nodes
-    ])
+    vals = wigner_grid(f, g, nodes[:, :1], nodes[:, 1:]).values
     norm = math.sqrt(float(w @ np.abs(vals) ** 2))
     assert norm <= f.norm * g.norm * (1 + 1e-6)
 
@@ -185,9 +183,7 @@ def test_l1_norm_finite_and_stable():
 
     def l1(order):
         nodes, w = tensor_rule([h / 2, h / 2], order)
-        vals = np.array([
-            wigner_gauss(f, g, PhasePoint(n[:1], n[1:])) for n in nodes
-        ])
+        vals = wigner_grid(f, g, nodes[:, :1], nodes[:, 1:]).values
         return float(w @ np.abs(vals))
 
     a, b = l1(48), l1(64)
@@ -209,14 +205,34 @@ def test_sesquilinearity():
 def test_low_confidence_warning_on_extreme_oscillation():
     basis = HermiteBasis(1, 0.1, 3)
     one = constant_rep(basis)
-    Z = PhasePoint([0.0], [6.0])  # |zeta|^2/h = 360 -> order demand 3640 > cap
+    Z = PhasePoint([0.0], [6.0])  # |zeta|^2/h = 360: eps e^360 swamps the value
     with pytest.warns(LowConfidenceWarning):
         wigner_gauss(one, one, Z)
     from gweyl.wigner import oscillation_order
 
-    with pytest.warns(LowConfidenceWarning):
-        assert oscillation_order(100.0, cap=500) == 500
+    assert oscillation_order(100.0, cap=500) == 500
     assert oscillation_order(1.0) == 64
+
+
+def test_quadrature_warns_where_cancellation_swamps_it():
+    # coherent f = g at X = (0.3, -0.2), h = 1/2, degree 30, on the
+    # `gweyl wigner` grid (21 x 21, zmax 2): at zetamax 4 the quadrature is
+    # off by up to 4e-2 of the grid maximum, and must say so on the edge
+    # rows |zeta| = 4; at the default zetamax 2 it is good to 2e-13 of the
+    # maximum and must stay silent everywhere
+    import warnings
+
+    h = 0.5
+    cs = coherent_state(PhasePoint([0.3], [-0.2]), h, HermiteBasis(1, h, 30))
+    for z in np.linspace(-2, 2, 21):
+        for zeta in (-4.0, 4.0):
+            with pytest.warns(LowConfidenceWarning):
+                wigner_gauss(cs, cs, PhasePoint([z], [zeta]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LowConfidenceWarning)
+        for z in np.linspace(-2, 2, 21):
+            for zeta in np.linspace(-2, 2, 21):
+                wigner_gauss(cs, cs, PhasePoint([z], [zeta]))
 
 
 def test_grid_csv_roundtrip(tmp_path):
