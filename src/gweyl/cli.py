@@ -171,9 +171,12 @@ def _outdir(cfg: dict) -> str:
     return out
 
 
-def _write_json(path: str, payload: dict):
+def _write_json(path: str, payload: dict) -> str:
+    """Write payload as indented JSON in one call; returns the text."""
+    text = json.dumps(payload, indent=1, default=str)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, default=str)
+        fh.write(text)
+    return text
 
 
 def cmd_quantize(cfg: dict) -> int:
@@ -211,8 +214,7 @@ def cmd_quantize(cfg: dict) -> int:
         summary["oracle_residual"] = operator_norm(
             op.entries - U.entries
         ) / max(operator_norm(U), 1e-300)
-    _write_json(os.path.join(out, "summary.json"), summary)
-    print(json.dumps(summary, indent=1, default=str))
+    print(_write_json(os.path.join(out, "summary.json"), summary))
     return 0
 
 
@@ -291,12 +293,13 @@ def cmd_converge(cfg: dict) -> int:
         "final_bound": rep.final_bound,
         "norm_error_bar": rep.norm_error_bar,
         "route_residual": rep.route_residual,
+        "rung_routes": [s.route for s in rep.steps],
+        "error_bar_route": rep.error_bar_route,
         "bound_ratios": rep.bound_ratios,
         "vacuous_bound": rep.vacuous_bound,
         "all_steps_within_bound": rep.ok,
     }
-    _write_json(os.path.join(out, "summary.json"), summary)
-    print(json.dumps(summary, indent=1, default=str))
+    print(_write_json(os.path.join(out, "summary.json"), summary))
     return 0
 
 
@@ -430,8 +433,7 @@ def cmd_mc(cfg: dict) -> int:
                   "z_score": z, "pass": z < SIGMA_FAIL}
     else:
         raise InputError(f"unknown mc experiment {kind!r}")
-    _write_json(os.path.join(out, "mc.json"), result)
-    print(json.dumps(result, indent=1, default=str))
+    print(_write_json(os.path.join(out, "mc.json"), result))
     return 0
 
 

@@ -178,12 +178,9 @@ class FunctionRep:
         return FunctionRep(self.basis, c * self.coeffs, self.underresolved)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "dim": self.basis.dim,
-            "h": self.basis.h,
-            "max_degree": self.basis.max_degree,
-            "coeffs": complex_pairs(self.coeffs),
-        })
+        b = self.basis
+        doc = {"dim": b.dim, "h": b.h, "max_degree": b.max_degree}
+        return dumps_with_pairs(doc, "coeffs", self.coeffs)
 
     @staticmethod
     def from_json(text: str) -> "FunctionRep":
@@ -192,13 +189,32 @@ class FunctionRep:
         return FunctionRep(basis, complex_from_pairs(data["coeffs"]))
 
 
-def complex_pairs(values) -> list:
-    """JSON form of a complex array: flattened [re, im] rows."""
-    return np.stack([np.real(values), np.imag(values)], axis=-1).reshape(-1, 2).tolist()
+def dumps_with_pairs(doc: dict, key: str, values) -> str:
+    """``json.dumps({**doc, key: pairs})``, pairs the [re, im] rows of a float64
+    (imaginary parts 0.0) or complex128 array in C order.  Each distinct float,
+    told apart by its int64 bits so that -0.0 is not 0.0, is formatted once."""
+    v = np.ravel(values)
+    real = not np.iscomplexobj(v)
+    bits = v.astype(float if real else complex, copy=False).view(np.int64)
+    # np.unique(bits, return_inverse=True) less its 10 us (10 % at n = 9)
+    order = bits.argsort()
+    sorted_bits = bits[order]
+    first = np.concatenate(([True], sorted_bits[1:] != sorted_bits[:-1]))
+    inverse = np.empty_like(order)
+    inverse[order] = first.cumsum() - 1
+    distinct = sorted_bits[first].view(float)
+    fmt = repr if np.isfinite(distinct).all() else json.dumps  # NaN, Infinity
+    text = np.fromiter(map(fmt, distinct.tolist()), dtype=object, count=distinct.size)
+    pattern = [None, ", 0.0], ["] if real else [None, ", ", None, "], ["]
+    tokens = pattern * (2 * bits.size // len(pattern))
+    tokens[0::2] = text[inverse].tolist()
+    tokens[0] = json.dumps({**doc, key: None})[:-len("null}")] + "[[" + tokens[0]
+    tokens[-1] = tokens[-1][:-3] + "]}"      # "], [" -> "]]}" closes pairs and doc
+    return "".join(tokens)
 
 
 def complex_from_pairs(rows) -> np.ndarray:
-    """Flat complex array from [re, im] rows; inverse of ``complex_pairs``."""
+    """Flat complex array from [re, im] rows; inverse of ``dumps_with_pairs``."""
     pairs = np.asarray(rows, dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise InputError("complex values must be given as [re, im] pairs")

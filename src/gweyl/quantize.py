@@ -121,7 +121,7 @@ from .gaussian import PhasePoint, gauss_hermite_1d, max_nodes, tensor_rule
 from .heat import CoordinateSplit, max_subset_size, op_T_I, smooth_symbol
 from .hermite import (
     MAX_STABLE_DEGREE, FunctionRep, HermiteBasis, coherent_state,
-    complex_from_pairs, complex_pairs, gamma_map,
+    complex_from_pairs, dumps_with_pairs, gamma_map,
 )
 from .symbols import SymbolDescriptor, make_fourier_measure
 
@@ -136,18 +136,19 @@ _MUTATE_TABLE_SIGN = 1.0
 
 @dataclass
 class OperatorMatrix:
-    """Matrix of an operator in the truncated Hermite basis."""
+    """Matrix of an operator in the truncated Hermite basis, float64 or complex128."""
 
     basis: HermiteBasis
     entries: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
+        e = np.asarray(self.entries)
+        e = e.astype(complex if np.iscomplexobj(e) else float, copy=False)
         n = self.basis.size
         if e.shape != (n, n):
             raise InputError(f"entries must be {n} x {n}")
-        if not np.all(np.isfinite(e.view(float))):
+        if not np.all(np.isfinite(e)):
             raise InputError("matrix entries must be finite")
         self.entries = e
 
@@ -158,17 +159,10 @@ class OperatorMatrix:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "basis": {
-                    "dim": self.basis.dim,
-                    "h": self.basis.h,
-                    "max_degree": self.basis.max_degree,
-                },
-                "meta": self.meta,
-                "entries": complex_pairs(self.entries),
-            }
-        )
+        b = self.basis
+        doc = {"basis": {"dim": b.dim, "h": b.h, "max_degree": b.max_degree},
+               "meta": self.meta}
+        return dumps_with_pairs(doc, "entries", self.entries)
 
     @staticmethod
     def from_json(text: str) -> "OperatorMatrix":
@@ -772,6 +766,7 @@ class LadderStep:
     tail: float
     norm: float
     cv_bound: float
+    route: str         # hybrid_matrix's route for the rung
 
 
 VACUOUS_RATIO = 1e-6   # diff/bound below this flags the bound as vacuous
@@ -785,6 +780,7 @@ class ConvergenceReport:
     final: OperatorMatrix
     norm_error_bar: float | None
     route_residual: float
+    error_bar_route: str | None
 
     @property
     def final_norm(self) -> float:
@@ -840,7 +836,8 @@ def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
     for the first rung only, capped by GW_MAX_SUBSETS on |Lambda_1|, and its
     largest entry against the rung is ``route_residual``.  ``norm_error_bar``
     is the change of the final norm at degree + 1, ``None`` at the largest
-    stable degree.
+    stable degree.  Each step keeps its rung's route, and ``error_bar_route``
+    is the route of the degree + 1 matrix.
     """
     if F.class_eps is None or F.class_M is None:
         raise InputError("ladder symbols need derivative-class metadata (M, eps)")
@@ -858,15 +855,15 @@ def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
     M0 = float(F.class_M)
 
     def hybrid(G, block):
-        return hybrid_matrix(G, CoordinateSplit(basis.dim, block), basis,
-                             order).entries
+        return hybrid_matrix(G, CoordinateSplit(basis.dim, block), basis, order)
 
     steps = []
     running = None
     for n, lam in enumerate(ladder.subsets, start=1):
-        current = hybrid(F, lam)
+        rung = hybrid(F, lam)
+        current = rung.entries
         if running is None:
-            expansion = sum(hybrid(op_T_I(F, I, h), I)
+            expansion = sum(hybrid(op_T_I(F, I, h), I).entries
                             for r in range(len(lam) + 1)
                             for I in itertools.combinations(lam, r))
             route_residual = float(np.max(np.abs(expansion - current)))
@@ -879,7 +876,7 @@ def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
         tail = float(np.sum(eps[[j for j in range(basis.dim) if j not in lam]] ** 2))
         cv_n = float(M0 * np.prod(1.0 + x[list(lam)]))
         steps.append(LadderStep(n, len(lam), diff_norm, diff_bound, tail,
-                                operator_norm(OperatorMatrix(basis, current)), cv_n))
+                                operator_norm(rung), cv_n, rung.meta["route"]))
         prev = lam
         running = current
 
@@ -888,8 +885,9 @@ def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
                             "ladder": [list(s) for s in ladder.subsets]})
     # The ladder's full rung is Op^W(F), so the truncation error bar needs
     # only the Weyl matrix one degree up.
-    error_bar = None
+    error_bar = error_bar_route = None
     if basis.max_degree < MAX_STABLE_DEGREE:
         up = weyl_matrix(F, HermiteBasis(basis.dim, h, basis.max_degree + 1), order)
         error_bar = abs(up.norm() - steps[-1].norm)
-    return ConvergenceReport(steps, final, error_bar, route_residual)
+        error_bar_route = up.meta["route"]
+    return ConvergenceReport(steps, final, error_bar, route_residual, error_bar_route)

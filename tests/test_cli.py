@@ -141,7 +141,7 @@ def test_quantize_reproducible_outputs(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_converge_lattice(tmp_path):
+def test_converge_lattice(tmp_path, capsys):
     out = tmp_path / "conv"
     cfg = write_cfg(tmp_path, "l.json", {
         "symbol": {"family": "lattice", "g": [0.4, 0.3, 0.2], "t": 1.0,
@@ -166,6 +166,10 @@ def test_converge_lattice(tmp_path):
     assert summary["bound_ratios"] == [float(r[2]) / float(r[3])
                                        for r in data[1:]]
     assert summary["vacuous_bound"] is True
+    assert summary["rung_routes"] == ["chain"] * 3
+    assert summary["error_bar_route"] == "chain"
+    # the summary is encoded once: stdout is the file's text
+    assert capsys.readouterr().out == (out / "summary.json").read_text() + "\n"
 
 
 def test_converge_two_ladders_agree(tmp_path):

@@ -20,7 +20,7 @@ from gweyl import (
     multi_indices,
     project,
 )
-from conftest import trapezoid_1d
+from conftest import EDGE_FLOATS, json_per_entry, trapezoid_1d
 
 
 def gram(basis, order=None):
@@ -282,6 +282,31 @@ def test_function_rep_json_roundtrip():
     per_entry = json.dumps({"dim": 2, "h": 0.5, "max_degree": 3, "coeffs": [
         [float(z.real), float(z.imag)] for z in f.coeffs]})
     assert text == per_entry
+
+
+@pytest.mark.parametrize("case", ["edges", "repeated", "n1", "non-finite"])
+def test_function_rep_writer_matches_the_standard_encoder(case):
+    rng = np.random.default_rng(5)
+    m = EDGE_FLOATS.size
+    if case == "edges":      # every edge value against every other, both parts
+        basis = HermiteBasis(2, 0.5, m - 1)
+        coeffs = np.empty((m, m), dtype=complex)
+        coeffs.real, coeffs.imag = EDGE_FLOATS[:, None], EDGE_FLOATS[None, :]
+    elif case == "repeated":
+        basis = HermiteBasis(2, 0.5, 7)
+        values = np.array([0.25, -0.0, 1.0 / 3.0, 5e-324])
+        coeffs = rng.choice(values, basis.size) + 1j * rng.choice(values, basis.size)
+    elif case == "n1":
+        basis = HermiteBasis(1, 0.5, 0)
+        coeffs = np.array([complex(-0.0, 1e16)])
+    else:                    # written as NaN and Infinity, as json.dumps does
+        basis = HermiteBasis(1, 0.5, 2)
+        coeffs = np.array([complex(np.nan, 1.0), complex(np.inf, -np.inf), 0.1])
+    f = FunctionRep(basis, coeffs)
+    text = f.to_json()
+    doc = {"dim": basis.dim, "h": basis.h, "max_degree": basis.max_degree}
+    assert text == json_per_entry(doc, "coeffs", f.coeffs)
+    assert FunctionRep.from_json(text).coeffs.tobytes() == f.coeffs.tobytes()
 
 
 def test_function_rep_shape_validation():

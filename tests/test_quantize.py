@@ -43,6 +43,7 @@ from gweyl.heat import op_T_I
 from gweyl.quantize import _reindex
 from gweyl.symbols import LatticeSymbolParams, SymbolDescriptor
 from gweyl.gaussian import tensor_rule
+from conftest import EDGE_FLOATS, json_per_entry
 
 H = 0.5
 
@@ -568,7 +569,7 @@ def test_chain_route_is_real_with_an_exact_zero_odd_block(degree):
     for selected in [(0, 1, 2, 3), (), (0, 1)]:
         M = hybrid_matrix(F, CoordinateSplit(4, selected), basis)
         assert M.meta["route"] == "chain"
-        assert not M.entries.imag.any()
+        assert M.entries.dtype == np.float64
         assert not M.entries[odd].any()
         modes = ["weyl" if j in selected else "aw" for j in range(4)]
         assert np.abs(M.entries - _reference_chain(F, basis, modes)).max() <= 1e-15
@@ -935,6 +936,8 @@ def test_ladder_lattice_bounds_hold():
     ladder = IndexLadder(4, ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3)))
     rep = ladder_run(F, ladder, basis)
     assert rep.ok
+    assert [s.route for s in rep.steps] == ["chain"] * 4
+    assert rep.error_bar_route == "chain"
     tails = [s.tail for s in rep.steps]
     assert all(a >= b for a, b in zip(tails, tails[1:]))
     assert rep.final_norm <= rep.final_bound
@@ -1177,3 +1180,54 @@ def test_operator_matrix_json_roundtrip(rng):
     back = OperatorMatrix.from_json(text)
     assert back.entries.tobytes() == M.entries.tobytes()
     assert back.to_json() == text
+
+
+def _criterion03_weyl(degree):
+    g = tuple(0.5 * 0.7**j for j in range(4))
+    F = make_lattice(LatticeSymbolParams(d=1, g=g, t=1.0, V="cos"), 2)
+    return weyl_matrix(F, HermiteBasis(4, H, degree))
+
+
+@pytest.mark.parametrize("case", ["edges-complex", "edges-real", "repeated",
+                                  "n1-complex", "n1-real", "lattice-625"])
+def test_operator_matrix_writer_matches_the_standard_encoder(case):
+    m = EDGE_FLOATS.size
+    meta = {"symbol": "s", "ladder": [[0], [0, 1]], "h": H}
+    if case == "edges-complex":   # every edge value against every other
+        basis = HermiteBasis(1, H, m - 1)
+        entries = np.empty((m, m), dtype=complex)
+        entries.real, entries.imag = EDGE_FLOATS[:, None], EDGE_FLOATS[None, :]
+    elif case == "edges-real":
+        basis = HermiteBasis(1, H, m - 1)
+        entries = EDGE_FLOATS[np.add.outer(np.arange(m), np.arange(m)) % m]
+    elif case == "repeated":
+        basis = HermiteBasis(2, H, 7)
+        rng = np.random.default_rng(3)
+        values = np.array([0.5, -0.0, 0.0, 1.0 / 3.0, -5e-324])
+        entries = (rng.choice(values, (basis.size, basis.size))
+                   + 1j * rng.choice(values, (basis.size, basis.size)))
+    elif case.startswith("n1"):
+        basis = HermiteBasis(1, H, 0)
+        entries = np.array([[-1e-5]]) if case == "n1-real" else np.array([[-0.0j]])
+    else:
+        op = _criterion03_weyl(4)
+        basis, entries, meta = op.basis, op.entries, op.meta
+    M = OperatorMatrix(basis, entries, meta)
+    assert M.entries.dtype == entries.dtype
+    text = M.to_json()
+    header = {"basis": {"dim": basis.dim, "h": basis.h,
+                        "max_degree": basis.max_degree}, "meta": meta}
+    assert text == json_per_entry(header, "entries", M.entries)
+    back = OperatorMatrix.from_json(text)
+    assert back.entries.dtype == complex
+    assert back.entries.tobytes() == M.entries.astype(complex).tobytes()
+
+
+def test_real_operator_summary_numbers_match_complex_copy():
+    # float64 entries are kept as they are; the norm and the hermiticity
+    # defect read the same as on the complex128 copy, bit for bit
+    op = _criterion03_weyl(3)
+    assert op.entries.dtype == np.float64
+    cop = OperatorMatrix(op.basis, op.entries.astype(complex))
+    assert operator_norm(op) == operator_norm(cop)
+    assert op.hermiticity_defect() == cop.hermiticity_defect()
