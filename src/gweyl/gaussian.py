@@ -18,7 +18,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma, roots_hermite
 
 from .errors import InputError, ResourceError
 
@@ -135,6 +134,8 @@ class QuadratureRule:
 
 @functools.lru_cache(maxsize=256)
 def _hermite_roots(order: int):
+    from scipy.special import roots_hermite
+
     t, w = roots_hermite(order)
     return t, w / math.sqrt(math.pi)
 
@@ -197,11 +198,13 @@ def exp_integral(a, h: float) -> complex:
 
 def ell_abs_moment(a, p: float, h: float) -> float:
     """Closed form int |l_a|^p dmu_h = (2h)^(p/2) pi^(-1/2) |a|^p Gamma((p+1)/2)."""
+    from scipy.special import gamma
+
     if p < 1:
         raise InputError(f"p must be >= 1, got {p}")
     a = np.atleast_1d(np.asarray(a, dtype=float))
     norm = float(np.linalg.norm(a))
-    return (2.0 * h) ** (0.5 * p) / math.sqrt(math.pi) * norm**p * _gamma(0.5 * (p + 1))
+    return (2.0 * h) ** (0.5 * p) / math.sqrt(math.pi) * norm**p * gamma(0.5 * (p + 1))
 
 
 def _pairings(indices):

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import InputError
 from .gaussian import GaussianMeasure, sample
@@ -76,6 +75,8 @@ def sample_brownian(K: int, h: float, n: int, seed: int) -> BrownianGrid:
 
 def _tail_R(b: float, c: float) -> float:
     """R(b, c) = int_{c b}^infinity exp(-x^2/2) dx."""
+    from scipy.special import erfc
+
     return math.sqrt(math.pi / 2.0) * erfc(c * b / math.sqrt(2.0))
 
 

@@ -112,8 +112,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import eigvalsh
-from scipy.linalg.blas import dgemv, zgemv
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from ._kernels import bargmann_pair_table, chain_contract, wigner_pair_table
 from .errors import InputError, NumericalError, ResourceError
@@ -222,6 +220,9 @@ def _dense_norm(M: np.ndarray) -> float:
                              > _HERMITIAN_TOL * np.max(np.abs(M))):
         return float(np.linalg.norm(M, 2))
     if n > _LANCZOS_MIN_N:
+        from scipy.linalg.blas import dgemv, zgemv
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
         # ARPACK runs on scipy's BLAS, so the matvec does too: a numpy matvec
         # alternates between two OpenBLAS thread pools, which made eigsh about
         # 50x slower at n = 256 under default threading on 2 CPUs.  Mt is M^T

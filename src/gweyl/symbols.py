@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import iv
-from scipy.stats import qmc
 
 from .errors import InputError, ResourceError
 from .gaussian import GaussianMeasure, PhasePoint, sample as gaussian_sample, tensor_rule
@@ -439,14 +437,22 @@ class LatticeSymbolParams:
         return len(self.g)
 
 
-def _bessel_coeffs(c: float) -> np.ndarray:
-    """Fourier coefficients of exp(-c cos(theta)): a_n = (-1)^n I_n(c)."""
+def _bessel_coeffs(c: float, bond: int) -> np.ndarray:
+    """Fourier coefficients of exp(-c cos(theta)): a_n = (-1)^n I_n(c).
+
+    The series stops at the first I_n(c) below BESSEL_TOL * I_0(c), about
+    sqrt(2 c ln(1/BESSEL_TOL)) terms.
+    """
+    from scipy.special import iv
+
     base = float(iv(0, c))
+    if not math.isfinite(base):
+        raise InputError(f"bond {bond}: coupling 2 t g_j g_(j+1) = {c} overflows I_0")
     coeffs = [base]
     n = 1
     while True:
         val = float(iv(n, c))
-        if val < BESSEL_TOL * max(base, 1.0) or n > 60:
+        if val < BESSEL_TOL * max(base, 1.0):
             break
         coeffs.append(val)
         n += 1
@@ -518,7 +524,7 @@ def make_lattice(params: LatticeSymbolParams, m: int) -> SymbolDescriptor:
 
     chain = None
     if is_cos:
-        bond_c = [_bessel_coeffs(2.0 * t * gg[b]) for b in range(D - 1)]
+        bond_c = [_bessel_coeffs(2.0 * t * gg[b], b) for b in range(D - 1)]
         nmax = max((len(c) // 2 for c in bond_c), default=0)
         padded = []
         for c in bond_c:
@@ -583,10 +589,11 @@ def chain_descriptor(data: ChainData, name: str,
 
 def quasi_ball(n: int, dim: int, radius: float, seed: int = 0) -> np.ndarray:
     """n quasi-random points in the ball of the given radius (Halton-based)."""
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
     eng = qmc.Halton(d=dim + 1, scramble=True, seed=seed)
     u = eng.random(n)
-    from scipy.special import ndtri
-
     dirs = ndtri(np.clip(u[:, :dim], 1e-12, 1 - 1e-12))
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     norms[norms == 0] = 1.0

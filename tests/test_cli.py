@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -125,6 +127,18 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
     build_parser.cache_clear()
     assert run_cli(["verify", "--filter", "basis_orthonormality"]) == 0
+
+
+def test_cold_import_loads_no_scipy():
+    # a fresh process, because this suite's own modules import scipy
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, gweyl, gweyl.cli\n"
+            "print(*sorted({'.'.join(m.split('.')[:2]) for m in sys.modules\n"
+            "               if m == 'scipy' or m.startswith('scipy.')}))")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = done.stdout.split()
+    assert not loaded, f"import gweyl.cli loaded {', '.join(loaded)}"
 
 
 def test_quantize_reproducible_outputs(tmp_path):

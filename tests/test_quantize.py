@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from gweyl import (
@@ -798,15 +799,15 @@ def _parity_block_operator(seed=6):
     return OperatorMatrix(basis, M)
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, module, name):
     calls = []
-    real = getattr(quantize, name)
+    real = getattr(module, name)
 
     def wrapped(*args, **kwargs):
         calls.append((args[0].shape[0], np.dtype(args[0].dtype).kind))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(quantize, name, wrapped)
+    monkeypatch.setattr(module, name, wrapped)
     return calls
 
 
@@ -831,8 +832,8 @@ def test_operator_norm_hermitian_branches_are_exact(monkeypatch, case):
         w, V = np.linalg.eigh(M)
         top = V[:, np.argmax(np.abs(w))]
         assert np.abs(top + top[::-1]).max() < 1e-12
-    lanczos = _counting(monkeypatch, "eigsh")
-    dense = _counting(monkeypatch, "eigvalsh")
+    lanczos = _counting(monkeypatch, scipy.sparse.linalg, "eigsh")
+    dense = _counting(monkeypatch, quantize, "eigvalsh")
     entries = M.entries if isinstance(M, OperatorMatrix) else M
     want = float(np.linalg.norm(entries, 2))
     got = operator_norm(M)
@@ -851,8 +852,8 @@ def test_operator_norm_splits_only_an_exactly_zero_odd_block(monkeypatch):
     entries = A.entries.copy()
     entries[k, l] = 10.0 * blocks
     B = OperatorMatrix(A.basis, entries)
-    lanczos = _counting(monkeypatch, "eigsh")
-    dense = _counting(monkeypatch, "eigvalsh")
+    lanczos = _counting(monkeypatch, scipy.sparse.linalg, "eigsh")
+    dense = _counting(monkeypatch, quantize, "eigvalsh")
     want = float(np.linalg.norm(entries, 2))
     assert want > 9.0 * blocks
     assert operator_norm(B) == pytest.approx(want, rel=1e-12)
@@ -863,7 +864,7 @@ def test_operator_norm_non_hermitian_takes_svd(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("non-Hermitian input reached an eigensolver")
 
-    monkeypatch.setattr(quantize, "eigsh", refuse)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
     monkeypatch.setattr(quantize, "eigvalsh", refuse)
     for n in (50, 300):
         A = _random_hermitian(n, 3)
@@ -875,7 +876,7 @@ def test_operator_norm_falls_back_when_lanczos_does_not_converge(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
 
-    monkeypatch.setattr(quantize, "eigsh", no_convergence)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     M = _random_hermitian(300, 4)
     assert operator_norm(M) == pytest.approx(float(np.linalg.norm(M, 2)),
                                              rel=1e-12)

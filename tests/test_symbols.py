@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import iv
 
 from gweyl import (
     InputError,
@@ -18,7 +19,9 @@ from gweyl import (
     verify_class,
 )
 from gweyl.gaussian import tensor_rule
-from gweyl.symbols import ChainData, LatticeSymbolParams, ZetaGauss, quasi_ball
+from gweyl.symbols import (
+    BESSEL_TOL, ChainData, LatticeSymbolParams, ZetaGauss, _bessel_coeffs, quasi_ball,
+)
 
 
 def test_exponential_metadata():
@@ -125,6 +128,20 @@ def test_lattice_custom_potential_requires_bounds():
     assert F.chain is None  # no closed Fourier route for a custom potential
     z = np.zeros((1, 2))
     assert F(z, z)[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("c", [10.0, 60.0, 120.0])
+def test_bessel_series_stops_on_the_tolerance(c):
+    coeffs = _bessel_coeffs(c, 0)
+    nmax = len(coeffs) // 2
+    assert coeffs[nmax] == iv(0, c)
+    assert iv(nmax + 1, c) < BESSEL_TOL * iv(0, c)
+
+
+def test_lattice_bond_overflowing_i0_is_an_input_error():
+    # c = 2 t g_1 g_2 = 800 on bond 1, and I_0(800) overflows float64
+    with pytest.raises(InputError, match="bond 1"):
+        make_lattice(LatticeSymbolParams(1, (0.1, 20.0, 20.0), 1.0, "cos"), 2)
 
 
 def test_chain_data_requires_real_palindromic_bonds():
