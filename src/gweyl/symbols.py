@@ -550,7 +550,12 @@ def make_lattice(params: LatticeSymbolParams, m: int) -> SymbolDescriptor:
     eps_zeta = _zeta_sup_deriv_const(m) * g * math.sqrt(t)
     eps = np.maximum(eps_z, eps_zeta)
     eps = np.where(g == 0, 0.0, eps)
-    M = math.exp(-2.0 * t * v_min * float(np.sum(gg)))
+    coupling = -2.0 * t * v_min * float(np.sum(gg))
+    try:
+        M = math.exp(coupling)
+    except OverflowError:
+        raise InputError(f"coupling sum -2 t inf(V) sum_b g_b g_(b+1) = {coupling} "
+                         "overflows the sup bound M = exp(coupling sum)") from None
 
     sym = SymbolDescriptor(
         dim=D,
@@ -587,13 +592,58 @@ def chain_descriptor(data: ChainData, name: str,
 # sampled sups, norms, class verification
 # ---------------------------------------------------------------------------
 
-def quasi_ball(n: int, dim: int, radius: float, seed: int = 0) -> np.ndarray:
-    """n quasi-random points in the ball of the given radius (Halton-based)."""
-    from scipy.special import ndtri
-    from scipy.stats import qmc
+def _first_primes(d: int) -> list:
+    primes = []
+    k = 2
+    while len(primes) < d:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
 
-    eng = qmc.Halton(d=dim + 1, scramble=True, seed=seed)
-    u = eng.random(n)
+
+def _scrambled_halton(n: int, d: int, seed: int) -> np.ndarray:
+    """The first n points of the Owen-scrambled Halton sequence in [0, 1)^d.
+
+    Owen (arXiv:1706.02808), Algorithm 1: coordinate c uses the c-th prime
+    base b and one random permutation of the digits 0..b-1 per digit
+    position j while b^-(j+1) > 2^-54.  Point i has coordinate
+    sum_j perm_j[digit_j(i)] s_j with s_0 = 1/b and s_(j+1) = s_j / b.
+    The permutations are shuffled base by base, row by row, from one
+    ``default_rng(seed)``, and the terms are added left to right, so the
+    points are those of scipy's ``qmc.Halton(d, scramble=True,
+    seed=seed).random(n)`` bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    idx = np.arange(n, dtype=np.int64)
+    u = np.empty((n, d))
+    for col, base in enumerate(_first_primes(d)):
+        count = math.ceil(54 / math.log2(base)) - 1
+        perms = np.repeat(np.arange(base)[None], count, axis=0)
+        for row in perms:
+            rng.shuffle(row)
+        digits = idx // base ** np.arange(count, dtype=np.int64)[:, None] % base
+        scales = np.empty(count)
+        s = 1.0
+        for j in range(count):  # repeated division: powers of 1/b round differently
+            s /= base
+            scales[j] = s
+        terms = np.take_along_axis(perms, digits, axis=1) * scales[:, None]
+        u[:, col] = np.cumsum(terms, axis=0)[-1]  # in order; sum() may pair terms
+    return u
+
+
+def quasi_ball(n: int, dim: int, radius: float, seed: int = 0) -> np.ndarray:
+    """n quasi-random points in the ball of the given radius.
+
+    The points come from the Owen-scrambled Halton sequence in dim + 1
+    coordinates (``_scrambled_halton``, identical to scipy's for the same
+    seed): dim Gaussian coordinates give the direction, the last one the
+    radius.
+    """
+    from scipy.special import ndtri
+
+    u = _scrambled_halton(n, dim + 1, seed)
     dirs = ndtri(np.clip(u[:, :dim], 1e-12, 1 - 1e-12))
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     norms[norms == 0] = 1.0

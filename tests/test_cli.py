@@ -141,6 +141,40 @@ def test_cold_import_loads_no_scipy():
     assert not loaded, f"import gweyl.cli loaded {', '.join(loaded)}"
 
 
+def test_wick_and_heat_load_no_scipy_stats(tmp_path):
+    # a fresh process, because this suite's own modules import scipy.stats
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    exp = {"family": "exponential", "a": [0.8], "b": [0.3]}
+    wick = write_cfg(tmp_path, "wick.json", {"symbol": exp, "h": 0.5, "degree": 6,
+                                             "points": 4, "seed": 2,
+                                             "out": str(tmp_path / "wick")})
+    heat = write_cfg(tmp_path, "heat.json", {"symbol": exp, "t": 0.3, "points": 4,
+                                             "seed": 2, "out": str(tmp_path / "heat")})
+    code = ("import sys\n"
+            "from gweyl.cli import main\n"
+            f"assert main(['wick', '--config', {wick!r}]) == 0\n"
+            f"assert main(['heat', '--config', {heat!r}]) == 0\n"
+            "print(*sorted({'.'.join(m.split('.')[:2]) for m in sys.modules\n"
+            "               if m.startswith('scipy.stats')}))")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.splitlines()[-1].split()
+    assert not loaded, f"wick and heat loaded {', '.join(loaded)}"
+
+
+@pytest.mark.parametrize("g", [[12.5] * 4, [18.85, 18.85]])
+def test_lattice_coupling_sum_overflow_exits_2(tmp_path, capsys, g):
+    # each bond passes the I_0 check, but M = exp(-2 t inf(V) sum_b g_b g_(b+1))
+    # overflows float64
+    cfg = write_cfg(tmp_path, "l.json", {
+        "symbol": {"family": "lattice", "g": g, "t": 1.0, "V": "cos", "m": 2},
+        "method": "weyl", "h": 0.5, "degree": 2, "out": str(tmp_path / "out"),
+    })
+    assert run_cli(["quantize", "--config", cfg]) == 2
+    assert "coupling sum" in capsys.readouterr().err
+
+
 def test_quantize_reproducible_outputs(tmp_path):
     cfgd = {
         "symbol": {"family": "exponential", "a": [0.9], "b": [0.2]},
