@@ -97,7 +97,7 @@ def bargmann_pair_table(tau, deg: int) -> np.ndarray:
 # with site frequencies m_0 = n_0, m_j = n_j - n_{j-1}, m_{D-1} = -n_{D-2},
 # so every m_j lies in [-2 noff, 2 noff], inside the site axis when
 # moff >= 2 noff.  A single site (D = 1) is its m = 0 table.  The output is
-# returned flattened in kron (row-major per-site) order.  It is staged as a
+# the (d^D, d^D) matrix, row-major over the sites.  It is staged as a
 # tensor train: one BLAS contraction per bond.  The inputs keep their dtype:
 # chain symbols pass real tables (the rotated basis of ``quantize``), so the
 # whole train runs in float64.

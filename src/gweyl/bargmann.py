@@ -49,7 +49,7 @@ def transform_exact_on_nodes(f: FunctionRep, nodes: np.ndarray) -> np.ndarray:
     nodes = np.atleast_2d(np.asarray(nodes))
     wbar = (nodes[:, :d] - 1j * nodes[:, d:]) / math.sqrt(2.0 * h)
     tables = [_scaled_powers(wbar[:, j], basis.max_degree) for j in range(d)]
-    return contract_kron(basis.kron_tensor(f.coeffs), tables)
+    return contract_kron(f.coeffs.reshape(basis.shape), tables)
 
 
 def bargmann(f: FunctionRep, Z: PhasePoint) -> complex:

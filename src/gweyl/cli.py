@@ -4,8 +4,11 @@ Subcommands: quantize, converge, wick, wigner, heat, mc, verify.  Every
 command reads a JSON config (--config) with flag overrides (--dim, --h,
 --degree, --order, --seed, --out, --filter); flags win over the file.  All
 randomness flows from the config seed.  Output files carry a metadata
-header (package version, config hash, seed)
-sufficient to reproduce them bit-identically.
+header: package version, config hash, seed, numpy version, BLAS build and
+BLAS thread count.  Rerunning a config with the same numpy/BLAS build and
+BLAS thread count reproduces them bit-identically.  Operator entries and
+coefficients are listed in Kronecker order of the multi-degrees (the last
+coordinate varies fastest).
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 numerical
 diagnostic failure, 4 resource cap.  Environment: GW_MAX_NODES bounds
@@ -63,10 +66,18 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _metadata(cfg: dict) -> dict:
+    # numpy, its BLAS and the BLAS thread count decide the last bits of the
+    # reductions, so they are recorded with the config
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    env = os.environ
     return {
         "version": __version__,
         "config_hash": _config_hash(cfg),
         "seed": cfg.get("seed", 0),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": (env.get("OPENBLAS_NUM_THREADS")
+                         or env.get("OMP_NUM_THREADS") or "default"),
     }
 
 

@@ -2,8 +2,10 @@
 
 Basis elements are tensor products e_alpha(x) = prod_j e_{alpha_j}(x_j),
 orthonormal under the Gaussian measure of variance h/2 per coordinate, with
-multi-degrees alpha capped per coordinate and ordered graded-lexicographically
-(total degree first, then lexicographic).  The map
+multi-degrees alpha capped per coordinate and in row-major Kronecker order
+(the last coordinate varies fastest): coefficients reshape to a
+(max_degree + 1,)^d tensor, and a product operator is a plain np.kron of
+its factors.  The map
 
     (gamma f)(x) = (pi h)^(-d/4) f(x) exp(-|x|^2 / (2h))
 
@@ -46,11 +48,8 @@ class TruncationWarning(UserWarning):
 
 
 def multi_indices(dim: int, max_degree: int) -> np.ndarray:
-    """All multi-degrees with per-coordinate cap, graded-lex ordered."""
-    idx = sorted(
-        itertools.product(range(max_degree + 1), repeat=dim),
-        key=lambda a: (sum(a), a),
-    )
+    """All multi-degrees with per-coordinate cap, in Kronecker order."""
+    idx = list(itertools.product(range(max_degree + 1), repeat=dim))
     return np.array(idx, dtype=np.int64).reshape(len(idx), dim)
 
 
@@ -91,24 +90,23 @@ class HermiteBasis:
         idx.flags.writeable = False
         return idx
 
-    @cached_property
-    def kron_positions(self) -> np.ndarray:
-        """Place of each basis element in the row-major Kronecker layout (read-only)."""
-        pos = self.indices @ (self.max_degree + 1) ** np.arange(self.dim - 1, -1, -1)
-        pos.flags.writeable = False
-        return pos
+    @property
+    def shape(self) -> tuple:
+        """Shape (max_degree + 1,) * dim of the coefficient tensor."""
+        return (self.max_degree + 1,) * self.dim
 
     @property
     def size(self) -> int:
         return (self.max_degree + 1) ** self.dim
 
     def index_of(self, alpha) -> int:
+        """Position of the multi-degree alpha in basis order."""
         alpha = tuple(int(a) for a in alpha)
-        rows = self.indices
-        hits = np.nonzero((rows == np.array(alpha)).all(axis=1))[0]
-        if hits.size == 0:
-            raise InputError(f"multi-degree {alpha} outside basis")
-        return int(hits[0])
+        if len(alpha) != self.dim or not all(0 <= a <= self.max_degree
+                                             for a in alpha):
+            raise InputError(f"multi-degree {alpha} outside the basis of dim "
+                             f"{self.dim} and max_degree {self.max_degree}")
+        return int(np.ravel_multi_index(alpha, self.shape))
 
     def coordinate_tables(self, points: np.ndarray) -> list[np.ndarray]:
         """Per-coordinate orthonormal Hermite tables at the given points."""
@@ -123,21 +121,14 @@ class HermiteBasis:
 
     def tensor(self, tables) -> np.ndarray:
         """Rows prod_j tables[j][alpha_j], one per basis multi-degree alpha."""
-        idx = self.indices
-        out = tables[0][idx[:, 0]]
-        for j in range(1, self.dim):
-            out = out * tables[j][idx[:, j]]
+        out = tables[0]
+        for t in tables[1:]:
+            out = (out[:, None] * t[None]).reshape((-1,) + t.shape[1:])
         return out
 
     def eval_table(self, points: np.ndarray) -> np.ndarray:
         """Matrix of basis values, shape (size, n_points)."""
         return self.tensor(self.coordinate_tables(points))
-
-    def kron_tensor(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficients scattered into the Kronecker tensor, shape (deg+1,)*dim."""
-        out = np.zeros(self.size, dtype=coeffs.dtype)
-        out[self.kron_positions] = coeffs
-        return out.reshape((self.max_degree + 1,) * self.dim)
 
     def default_rule(self, order: int | None = None) -> QuadratureRule:
         return gauss_quadrature(self.dim, self.variance, order)
@@ -161,7 +152,7 @@ class FunctionRep:
 
     def __call__(self, points):
         tables = self.basis.coordinate_tables(points)
-        return contract_kron(self.basis.kron_tensor(self.coeffs), tables)
+        return contract_kron(self.coeffs.reshape(self.basis.shape), tables)
 
     @property
     def norm(self) -> float:

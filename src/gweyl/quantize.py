@@ -271,11 +271,6 @@ def _grid_order(mode: str, h: float, base: int, max_freq: float) -> int:
     return base + int(math.ceil(0.75 * max_freq**2 * v))
 
 
-def _reindex(kron_matrix: np.ndarray, basis: HermiteBasis) -> np.ndarray:
-    pos = basis.kron_positions
-    return kron_matrix[np.ix_(pos, pos)]
-
-
 # ---------------------------------------------------------------------------
 # assembly paths
 # ---------------------------------------------------------------------------
@@ -298,7 +293,7 @@ def _assemble_dense(F: SymbolDescriptor, basis: HermiteBasis, modes,
     if D == 1:
         nodes, w = grids[0]
         vals = F(nodes[:, :1], nodes[:, 1:])
-        kron = np.einsum("i,lki->kl", w * vals, tables[0])
+        M = np.einsum("i,lki->kl", w * vals, tables[0])
     else:
         (n1, w1), (n2, w2) = grids
         q1, q2 = n1.shape[0], n2.shape[0]
@@ -319,12 +314,12 @@ def _assemble_dense(F: SymbolDescriptor, basis: HermiteBasis, modes,
             A[x0:x1] = np.einsum("xy,aby->xab", G, tables[1], optimize=True)
         K = np.einsum("abx,xcd->bdac", tables[0], A, optimize=True)
         dd = deg + 1
-        kron = K.reshape(dd * dd, dd * dd)
-    return _reindex(kron, basis), base
+        M = K.reshape(dd * dd, dd * dd)
+    return M, base
 
 
 def _assemble_atoms(c, a, b, basis: HermiteBasis, modes) -> np.ndarray:
-    """sum_n c_n Op(e^{i(a_n.z + b_n.zeta)}) in closed form, in basis order.
+    """sum_n c_n Op(e^{i(a_n.z + b_n.zeta)}) in closed form.
 
     Each atom is a displacement per coordinate (see the module docstring).
     Its damping is a scalar per atom and its parity (-1)^|l| a sign per
@@ -337,19 +332,19 @@ def _assemble_atoms(c, a, b, basis: HermiteBasis, modes) -> np.ndarray:
     c = c * np.exp(-0.5 * (a**2 + b**2) @ v)
     # per atom: D tables and their temporaries, and the Kronecker tail
     step = max(1, _ATOM_CHUNK_BYTES // (16 * (2 * D * d * d + d ** (2 * D - 2))))
-    kron = np.zeros((d ** D, d ** D), dtype=complex)
+    M = np.zeros((d ** D, d ** D), dtype=complex)
     for lo in range(0, c.size, step):
         part = slice(lo, lo + step)
         nodes = [np.stack([-0.5 * h * b[part, j], -0.5 * h * a[part, j]], axis=1)
                  for j in range(D)]
-        kron += _kron_sum(c[part], [_coord_table(h, "weyl", deg, x) for x in nodes])
-    return _reindex(kron, basis) * (-1.0) ** basis.indices.sum(axis=1)
+        M += _kron_sum(c[part], [_coord_table(h, "weyl", deg, x) for x in nodes])
+    return M * (-1.0) ** basis.indices.sum(axis=1)
 
 
 def _kron_sum(c, factors) -> np.ndarray:
     """sum_n c_n factors[0][..., n] (x) ... (x) factors[D-1][..., n].
 
-    factors[j] has shape (p_j, q_j, atoms); the result is in Kronecker order.
+    factors[j] has shape (p_j, q_j, atoms); the result is (prod p_j, prod q_j).
     The later factors are joined atom by atom, then one matrix product over
     the atom axis does the sum.
     """
@@ -466,7 +461,7 @@ def _assemble_chain(F: SymbolDescriptor, basis: HermiteBasis, modes,
     V = (U * np.array([1, 1j, -1, -1j])[(k[:, None] - k[None, :]) % 4]).real
     a = np.reshape(data.bond_c, (D - 1, 2 * data.nmax + 1))
     sigma = 1.0 - 2.0 * (basis.indices.sum(axis=1) // 2 % 2)
-    M = sigma[:, None] * _reindex(chain_contract(V, a), basis) * sigma
+    M = sigma[:, None] * chain_contract(V, a) * sigma
     M[_parity_odd(basis)] = 0.0
     q = max(_site_order(m, h, data.nmax, order) for m in modes)
     return M, q
@@ -489,20 +484,20 @@ def hybrid_matrix(F: SymbolDescriptor, split: CoordinateSplit,
             "selected": list(split.selected)}
     if F.atoms is not None:
         c, a, b = (np.array(v) for v in zip(*F.atoms))
-        kron = _assemble_atoms(c, a, b, basis, modes)
+        M = _assemble_atoms(c, a, b, basis, modes)
         meta.update(route="atoms", atoms=int(c.size))
     elif F.chain is not None:
-        kron, q = _assemble_chain(F, basis, modes, order)
+        M, q = _assemble_chain(F, basis, modes, order)
         meta.update(route="chain", order=q)
     elif F.quad is not None:
         c, a, b, nodes = _gaussian_mixture(F.quad, basis, modes)
-        kron = _assemble_atoms(c, a, b, basis, modes)
-        kron[_parity_odd(basis)] = 0.0
+        M = _assemble_atoms(c, a, b, basis, modes)
+        M[_parity_odd(basis)] = 0.0
         meta.update(route="gaussian", nodes=nodes)
     else:
-        kron, q = _assemble_dense(F, basis, modes, order)
+        M, q = _assemble_dense(F, basis, modes, order)
         meta.update(route="dense", order=q)
-    return OperatorMatrix(basis, kron, meta)
+    return OperatorMatrix(basis, M, meta)
 
 
 def weyl_matrix(F: SymbolDescriptor, basis: HermiteBasis,
@@ -639,8 +634,8 @@ def weyl_matrix_classical(F: SymbolDescriptor, basis: HermiteBasis,
         factors = [[weyl_matrix_classical(
             make_fourier_measure([(1.0, a[j:j + 1], b[j:j + 1])], name="atom"),
             b1, oversample).entries for _, a, b in F.atoms] for j in range(2)]
-        entries = _reindex(_kron_sum([c for c, _, _ in F.atoms],
-                                     [np.stack(f, axis=-1) for f in factors]), basis)
+        entries = _kron_sum([c for c, _, _ in F.atoms],
+                            [np.stack(f, axis=-1) for f in factors])
         meta = {"symbol": F.name, "method": "weyl-classical", "h": basis.h}
         return OperatorMatrix(basis, entries, meta)
     raise ResourceError(
@@ -690,7 +685,7 @@ def oracle_U(a, b, h: float, basis: HermiteBasis,
     entries = factors[0]
     for f in factors[1:]:
         entries = np.kron(entries, f)
-    return OperatorMatrix(basis, _reindex(entries, basis),
+    return OperatorMatrix(basis, entries,
                           {"method": "oracle-U", "a": a.tolist(), "b": b.tolist(),
                            "h": h})
 

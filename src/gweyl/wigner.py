@@ -196,8 +196,8 @@ def wigner_grid(f: FunctionRep, g: FunctionRep, zs, zetas) -> WignerGrid:
         for j in range(d)
     ]
     # pair tensor P[(a_1, b_1), ..., (a_d, b_d)] = F[a] conj(G[b])
-    pair = np.multiply.outer(f.basis.kron_tensor(f.coeffs),
-                             np.conj(g.basis.kron_tensor(g.coeffs)))
+    pair = np.multiply.outer(f.coeffs.reshape(f.basis.shape),
+                             np.conj(g.coeffs.reshape(g.basis.shape)))
     pair = pair.transpose(np.arange(2 * d).reshape(2, d).T.ravel())
     values = contract_kron(pair.reshape((nf * ng,) * d), tables)
     return WignerGrid(zs, zetas, values, h)

@@ -189,6 +189,47 @@ def test_quantize_reproducible_outputs(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("method", ["weyl", "antiwick"])
+def test_operator_json_of_a_product_symbol_is_the_kron_of_its_factors(tmp_path,
+                                                                      method):
+    # basis order is Kronecker order, so the file of a dim-2 exponential is
+    # np.kron of the files of its two dim-1 factors
+    def entries(a, b, sub):
+        out = tmp_path / sub
+        cfg = write_cfg(tmp_path, f"{sub}.json", {
+            "symbol": {"family": "exponential", "a": a, "b": b},
+            "method": method, "h": H, "degree": 5, "out": str(out),
+        })
+        assert run_cli(["quantize", "--config", cfg]) == 0
+        op = json.loads((out / "operator.json").read_text())
+        pairs = np.array(op["entries"])
+        return pairs[:, 0] + 1j * pairs[:, 1]
+
+    full = entries([1.1, 0.4], [-0.6, 0.3], "xy")
+    first = entries([1.1], [-0.6], "x").reshape(6, 6)
+    second = entries([0.4], [0.3], "y").reshape(6, 6)
+    assert np.abs(full.reshape(36, 36) - np.kron(first, second)).max() < 1e-13
+
+
+def test_metadata_records_numpy_blas_and_threads(tmp_path, monkeypatch):
+    cfgd = {"symbol": {"family": "exponential", "a": [0.9], "b": [0.2]},
+            "method": "antiwick", "h": H, "degree": 2}
+    cases = [({}, "default"), ({"OMP_NUM_THREADS": "3"}, "3"),
+             ({"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": "1"}, "1")]
+    for i, (env, want) in enumerate(cases):
+        for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(key, raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        out = tmp_path / str(i)
+        cfg = write_cfg(tmp_path, f"{i}.json", {**cfgd, "out": str(out)})
+        assert run_cli(["quantize", "--config", cfg]) == 0
+        meta = json.loads((out / "summary.json").read_text())["meta"]
+        assert meta["numpy"] == np.__version__
+        assert meta["blas"] and "None" not in meta["blas"]
+        assert meta["blas_threads"] == want
+
+
 def test_converge_lattice(tmp_path, capsys):
     out = tmp_path / "conv"
     cfg = write_cfg(tmp_path, "l.json", {
@@ -314,6 +355,18 @@ def test_wigner_command(tmp_path):
     assert any(l.startswith("# version=") for l in lines)
     data = [l for l in lines if not l.startswith("#")]
     assert len(data) == 1 + 49
+
+
+@pytest.mark.parametrize("alpha", [[1, 1], [1, 0, 0], [6]])
+def test_wigner_basis_alpha_outside_the_basis_exits_2(tmp_path, capsys, alpha):
+    # a two-entry alpha at dim 1 used to broadcast onto e_1
+    cfg = write_cfg(tmp_path, "a.json", {
+        "f": {"kind": "basis", "alpha": alpha},
+        "dim": 1, "h": H, "degree": 5, "grid_points": 3,
+        "out": str(tmp_path / "wig"),
+    })
+    assert run_cli(["wigner", "--config", cfg]) == 2
+    assert "outside the basis" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("zetamax", [4.0, 5.0])

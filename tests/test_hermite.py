@@ -45,13 +45,28 @@ def test_scaled_powers():
     np.testing.assert_allclose(_scaled_powers(s, 5), want, rtol=1e-14, atol=0)
 
 
-def test_graded_lex_ordering():
-    idx = multi_indices(2, 2)
-    totals = idx.sum(axis=1)
-    assert np.all(np.diff(totals) >= 0)
-    assert idx[0].tolist() == [0, 0]
-    # within a degree block, lexicographic
-    assert idx[1].tolist() == [0, 1] and idx[2].tolist() == [1, 0]
+def test_kronecker_ordering():
+    # row-major Kronecker order, last coordinate fastest: the order of
+    # itertools.product and np.kron
+    assert multi_indices(2, 2).tolist() == [
+        [0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2], [2, 0], [2, 1], [2, 2]]
+    basis = HermiteBasis(3, 0.5, 3)
+    assert [basis.index_of(a) for a in basis.indices] == list(range(basis.size))
+    # a dim-2 coherent state is the tensor product of its dim-1 factors
+    h = 0.5
+    X = PhasePoint([0.4, -0.7], [0.3, 0.2])
+    b1, b2 = HermiteBasis(1, h, 6), HermiteBasis(2, h, 6)
+    factors = [coherent_state(PhasePoint(X.x[j:j + 1], X.xi[j:j + 1]), h, b1).coeffs
+               for j in range(2)]
+    np.testing.assert_allclose(coherent_state(X, h, b2).coeffs,
+                               np.kron(*factors), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("alpha", [[1], [1, 1, 0], [3, 0], [-1, 0]])
+def test_index_of_rejects_multi_degrees_outside_the_basis(alpha):
+    # a wrong length must not broadcast: [1] is not (1, 1)
+    with pytest.raises(InputError, match="outside the basis"):
+        HermiteBasis(2, 0.5, 2).index_of(alpha)
 
 
 def test_gamma_map_constant_at_zero():

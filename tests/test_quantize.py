@@ -41,7 +41,6 @@ from gweyl import (
 )
 from gweyl import quantize
 from gweyl.heat import op_T_I
-from gweyl.quantize import _reindex
 from gweyl.symbols import LatticeSymbolParams, SymbolDescriptor
 from gweyl.gaussian import tensor_rule
 from conftest import EDGE_FLOATS, json_per_entry
@@ -319,7 +318,7 @@ def test_gaussian_route_degenerate_forms():
     b2, b1 = HermiteBasis(2, H, 4), HermiteBasis(1, H, 4)
     M2 = hybrid_matrix(F2, CoordinateSplit(2, (1,)), b2)
     assert M2.meta["nodes"] == 9**2
-    want = _reindex(np.kron(antiwick_matrix(F1, b1).entries, np.eye(5)), b2)
+    want = np.kron(antiwick_matrix(F1, b1).entries, np.eye(5))
     assert np.abs(M2.entries - want).max() < 1e-14
 
 
@@ -463,8 +462,8 @@ def test_dense_dim2_blocks_match_kron_of_dim1():
     F2 = SymbolDescriptor(1, lambda z, zeta: f2(z[:, 0], zeta[:, 0]))
     basis, b1 = HermiteBasis(2, H, 3), HermiteBasis(1, H, 3)
     M = hybrid_matrix(F, CoordinateSplit(2, (0,)), basis, order=10)
-    want = _reindex(np.kron(weyl_matrix(F1, b1, order=10).entries,
-                            antiwick_matrix(F2, b1, order=10).entries), basis)
+    want = np.kron(weyl_matrix(F1, b1, order=10).entries,
+                   antiwick_matrix(F2, b1, order=10).entries)
     assert np.abs(M.entries - want).max() < 1e-13
 
 
@@ -555,7 +554,7 @@ def _reference_chain(F, basis, modes):
                   U[0][ns + data.mrange], U[1][diff], U[2][diff],
                   U[3][data.mrange - ns], optimize=True)
     d = deg + 1
-    return _reindex(K.reshape(d**4, d**4), basis)
+    return K.reshape(d**4, d**4)
 
 
 @pytest.mark.parametrize("degree", [3, 4])
@@ -602,7 +601,7 @@ def test_hybrid_tensor_factorization():
     Mh = hybrid_matrix(F2, CoordinateSplit(2, (0,)), basis2)
     w0 = weyl_matrix(make_exponential([1.1], [0.7]), basis1).entries
     a1 = antiwick_matrix(make_exponential([0.4], [-0.3]), basis1).entries
-    want = _reindex(np.kron(w0, a1), basis2)
+    want = np.kron(w0, a1)
     assert np.abs(Mh.entries - want).max() < 1e-5
 
 
