@@ -1,14 +1,17 @@
 """Batch command-line front end.
 
 Subcommands: quantize, converge, wick, wigner, heat, mc, verify.  Every
-command reads a JSON config (--config) with flag overrides (--dim, --h,
---degree, --order, --seed, --out, --filter); flags win over the file.  All
-randomness flows from the config seed.  Output files carry a metadata
-header: package version, config hash, seed, numpy version, BLAS build and
-BLAS thread count.  Rerunning a config with the same numpy/BLAS build and
-BLAS thread count reproduces them bit-identically.  Operator entries and
-coefficients are listed in Kronecker order of the multi-degrees (the last
-coordinate varies fastest).
+command reads a JSON config (--config) and takes as flags only the config
+values it reads (``FLAGS``): --h and --degree on quantize, converge and
+wick, --dim, --h and --degree on wigner, --h on mc, --seed on wick, heat,
+mc and verify, --filter on verify, and --out on all; flags win over the
+file.  All randomness flows from the config seed.  Output files carry a
+metadata header: package version, config hash, seed, numpy version, BLAS
+build and BLAS thread count; in a CSV it is ``# key=value`` lines, and every
+CSV line ends in LF, not CRLF.  Rerunning a config with the same numpy/BLAS
+build and BLAS thread count reproduces them bit-identically.  Operator
+entries and coefficients are listed in Kronecker order of the multi-degrees
+(the last coordinate varies fastest).
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 numerical
 diagnostic failure, 4 resource cap.  Environment: GW_MAX_NODES bounds
@@ -31,10 +34,11 @@ from .gaussian import PhasePoint, exp_integral, gauss_quadrature, wick_moment
 from .heat import CoordinateSplit, decomposition_check, heat_full, smooth_symbol
 from .hermite import (
     FunctionRep, HermiteBasis, basis_element, coherent_state, complex_from_pairs,
-    constant_rep,
+    constant_rep, write_csv,
 )
 from .mc import SIGMA_FAIL, lattice_norm_probability, mc_integral, sample_brownian
 from .quantize import (
+    ROUTE_KEYS,
     IndexLadder,
     antiwick_matrix,
     hybrid_matrix,
@@ -110,6 +114,14 @@ def _option(cfg: dict, key: str, cast, default=_REQUIRED):
     return cast(cfg[key])
 
 
+def _positive(cfg: dict, key: str, cast, default):
+    """A value that sizes or scales the work: > 0, so a count is >= 1."""
+    v = _option(cfg, key, cast, default)
+    if not v > 0:
+        raise InputError(f"{key} must be > 0, got {v}")
+    return v
+
+
 def _ints(values) -> tuple:
     return tuple(int(v) for v in values)
 
@@ -158,16 +170,8 @@ def _load_config(args) -> dict:
             raise InputError(f"config file not found: {args.config}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"malformed config JSON: {exc}") from exc
-    for key in ("dim", "degree", "order", "seed"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = int(val)
-    if getattr(args, "h", None) is not None:
-        cfg["h"] = float(args.h)
-    if getattr(args, "out", None) is not None:
-        cfg["out"] = args.out
-    if getattr(args, "filter", None) is not None:
-        cfg["filter"] = args.filter
+    cfg.update((key, val) for key, val in vars(args).items()
+               if val is not None and key not in ("command", "config"))
     return cfg
 
 
@@ -194,17 +198,16 @@ def cmd_quantize(cfg: dict) -> int:
     sym = load_symbol(cfg.get("symbol", {}))
     basis = _basis_from(cfg, sym.dim)
     method = cfg.get("method", "weyl")
-    order = _option(cfg, "order", int, None)
     if method == "weyl":
-        op = weyl_matrix(sym, basis, order)
+        op = weyl_matrix(sym, basis)
     elif method == "antiwick":
-        op = antiwick_matrix(sym, basis, order)
+        op = antiwick_matrix(sym, basis)
     elif method == "hybrid":
         split = CoordinateSplit(basis.dim, _option(cfg, "split", _ints, ()))
-        op = hybrid_matrix(sym, split, basis, order)
+        op = hybrid_matrix(sym, split, basis)
     elif method == "weyl_classical":
         op = weyl_matrix_classical(sym, basis,
-                                   oversample=_option(cfg, "oversample", float, 3.5))
+                                   _positive(cfg, "oversample", float, 3.5))
     else:
         raise InputError(f"unknown method {method!r}")
     meta = _metadata(cfg)
@@ -218,7 +221,7 @@ def cmd_quantize(cfg: dict) -> int:
         "symbol": sym.name,
         "norm": operator_norm(op),
         "hermiticity_defect": op.hermiticity_defect(),
-        **{k: op.meta[k] for k in ("route", "atoms", "nodes", "order") if k in op.meta},
+        **{k: op.meta[k] for k in ROUTE_KEYS if k in op.meta},
     }
     if sym.oracle is not None and sym.oracle.get("kind") == "U" and method == "weyl":
         U = oracle_U(sym.oracle["a"], sym.oracle["b"], basis.h, basis)
@@ -293,7 +296,7 @@ def cmd_converge(cfg: dict) -> int:
     sym = load_symbol(cfg.get("symbol", {}))
     basis = _basis_from(cfg, sym.dim)
     ladder = _ladder_from(cfg, basis.dim)
-    rep = ladder_run(sym, ladder, basis, _option(cfg, "order", int, None))
+    rep = ladder_run(sym, ladder, basis)
     meta = _metadata(cfg)
     out = _outdir(cfg)
     rep.to_csv(os.path.join(out, "report.csv"), meta)
@@ -303,6 +306,7 @@ def cmd_converge(cfg: dict) -> int:
         "final_norm": rep.final_norm,
         "final_bound": rep.final_bound,
         "norm_error_bar": rep.norm_error_bar,
+        "norm_error_bar_floor": rep.norm_error_bar_floor,
         "route_residual": rep.route_residual,
         "rung_routes": [s.route for s in rep.steps],
         "error_bar_route": rep.error_bar_route,
@@ -318,10 +322,10 @@ def cmd_wick(cfg: dict) -> int:
     sym = load_symbol(cfg.get("symbol", {}))
     basis = _basis_from(cfg, sym.dim)
     h = basis.h
-    n_pts = _option(cfg, "points", int, 20)
+    n_pts = _positive(cfg, "points", int, 20)
     radius = _option(cfg, "radius", float, math.sqrt(h))
     pts = quasi_ball(n_pts, 2 * sym.dim, radius, _option(cfg, "seed", int, 0))
-    op = weyl_matrix(sym, basis, _option(cfg, "order", int, None))
+    op = weyl_matrix(sym, basis)
     rows = []
     worst = 0.0
     for p in pts:
@@ -330,17 +334,13 @@ def cmd_wick(cfg: dict) -> int:
         right = heat_full(sym, 0.5 * h, X)
         resid = abs(left - right)
         worst = max(worst, resid)
-        rows.append((p, left, right, resid))
+        rows.append([*p.tolist(), left.real, left.imag, right.real, right.imag,
+                     resid])
     out = _outdir(cfg)
     meta = _metadata(cfg)
-    with open(os.path.join(out, "wick.csv"), "w") as fh:
-        for key, val in meta.items():
-            fh.write(f"# {key}={val}\n")
-        fh.write("x...,xi...,wick_re,wick_im,smoothed_re,smoothed_im,residual\n")
-        for p, left, right, resid in rows:
-            coords = ",".join(f"{float(v):.17g}" for v in p)
-            fh.write(f"{coords},{left.real:.17g},{left.imag:.17g},"
-                     f"{right.real:.17g},{right.imag:.17g},{resid:.17g}\n")
+    write_csv(os.path.join(out, "wick.csv"), meta,
+              ["x...", "xi...", "wick_re", "wick_im", "smoothed_re",
+               "smoothed_im", "residual"], rows)
     print(json.dumps({"meta": meta, "worst_residual": worst}, indent=1))
     return 0
 
@@ -365,7 +365,7 @@ def cmd_wigner(cfg: dict) -> int:
     basis = _basis_from(cfg, dim)
     f = _load_rep(cfg.get("f", {"kind": "constant"}), basis)
     g = _load_rep(cfg.get("g", cfg.get("f", {"kind": "constant"})), basis)
-    n = _option(cfg, "grid_points", int, 21)
+    n = _positive(cfg, "grid_points", int, 21)
     zmax = _option(cfg, "zmax", float, 2.0)
     zetamax = _option(cfg, "zetamax", float, 2.0)
     if dim != 1:
@@ -386,8 +386,8 @@ def cmd_wigner(cfg: dict) -> int:
 
 def cmd_heat(cfg: dict) -> int:
     sym = load_symbol(cfg.get("symbol", {}))
-    t = _option(cfg, "t", float, 0.25)
-    n_pts = _option(cfg, "points", int, 10)
+    t = _positive(cfg, "t", float, 0.25)
+    n_pts = _positive(cfg, "points", int, 10)
     pts = quasi_ball(n_pts, 2 * sym.dim, _option(cfg, "radius", float, 2.0),
                      _option(cfg, "seed", int, 0))
     coords = _option(cfg, "coords", _ints, tuple(range(sym.dim)))
@@ -395,13 +395,8 @@ def cmd_heat(cfg: dict) -> int:
     vals = G(pts[:, : sym.dim], pts[:, sym.dim:])
     out = _outdir(cfg)
     meta = _metadata(cfg)
-    with open(os.path.join(out, "heat.csv"), "w") as fh:
-        for key, val in meta.items():
-            fh.write(f"# {key}={val}\n")
-        fh.write("z...,zeta...,re,im\n")
-        for p, v in zip(pts, vals):
-            fh.write(",".join(f"{float(x):.17g}" for x in p)
-                     + f",{v.real:.17g},{v.imag:.17g}\n")
+    write_csv(os.path.join(out, "heat.csv"), meta, ["z...", "zeta...", "re", "im"],
+              np.column_stack([pts, np.real(vals), np.imag(vals)]).tolist())
     print(json.dumps({"meta": meta, "t": t, "n": n_pts}, indent=1))
     return 0
 
@@ -413,8 +408,8 @@ def cmd_mc(cfg: dict) -> int:
     out = _outdir(cfg)
     meta = _metadata(cfg)
     if kind == "brownian":
-        K = _option(cfg, "K", int, 64)
-        n = _option(cfg, "n", int, 10000)
+        K = _positive(cfg, "K", int, 64)
+        n = _positive(cfg, "n", int, 10000)
         ens = sample_brownian(K, h, n, seed)
         ens.to_csv(os.path.join(out, "brownian.csv"), meta)
         var = float(np.var(ens.paths[:, -1]))
@@ -425,18 +420,14 @@ def cmd_mc(cfg: dict) -> int:
         b_weights = _option(cfg, "b", lambda v: np.asarray(v, dtype=float))
         rows = lattice_norm_probability(b_weights, _option(cfg, "eps", float), h,
                                         _option(cfg, "ladder", _ints),
-                                        _option(cfg, "n", int, 100000), seed)
-        with open(os.path.join(out, "lattice_norm.csv"), "w") as fh:
-            for key, val in meta.items():
-                fh.write(f"# {key}={val}\n")
-            fh.write("sites,mc,stderr,exact\n")
-            for p, mcv, se, exact in rows:
-                fh.write(f"{p},{mcv:.17g},{se:.17g},{exact:.17g}\n")
+                                        _positive(cfg, "n", int, 100000), seed)
+        write_csv(os.path.join(out, "lattice_norm.csv"), meta,
+                  ["sites", "mc", "stderr", "exact"], rows)
         worst = max(abs(mcv - exact) / max(se, 1e-12) for _, mcv, se, exact in rows)
         result = {"meta": meta, "worst_z": worst, "pass": worst < SIGMA_FAIL}
     elif kind == "integral":
         a = _option(cfg, "a", lambda v: np.asarray(v, dtype=float), np.ones(1))
-        n = _option(cfg, "n", int, 100000)
+        n = _positive(cfg, "n", int, 100000)
         est, se = mc_integral(lambda x: np.exp(x @ a), a.shape[0], h, n, seed)
         want = exp_integral(a, h).real
         z = abs(est - want) / max(se, 1e-12)
@@ -562,6 +553,18 @@ COMMANDS = {
     "verify": cmd_verify,
 }
 
+# the config values each command reads that a flag may set
+FLAGS = {
+    "quantize": ("h", "degree", "out"),
+    "converge": ("h", "degree", "out"),
+    "wick": ("h", "degree", "seed", "out"),
+    "wigner": ("dim", "h", "degree", "out"),
+    "heat": ("seed", "out"),
+    "mc": ("h", "seed", "out"),
+    "verify": ("seed", "out", "filter"),
+}
+_FLAG_TYPES = {"dim": int, "h": float, "degree": int, "seed": int}
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -571,16 +574,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantization over Gaussian measures: operators, ladders, checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
+    for name, flags in FLAGS.items():
+        # no abbreviations: --h on a command without it would be --help
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--dim", type=int)
-        p.add_argument("--h", type=float)
-        p.add_argument("--degree", type=int)
-        p.add_argument("--order", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-        p.add_argument("--filter")
+        for flag in flags:
+            p.add_argument(f"--{flag}", type=_FLAG_TYPES.get(flag, str))
     return parser
 
 

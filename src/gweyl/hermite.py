@@ -204,6 +204,17 @@ def dumps_with_pairs(doc: dict, key: str, values) -> str:
     return "".join(tokens)
 
 
+def write_csv(path, metadata: dict | None, columns, rows) -> None:
+    """Write ``# key=value`` metadata lines, the column row, then the rows,
+    cells as ``.17g`` (``None`` as empty), each line ending in LF."""
+    lines = [f"# {key}={val}" for key, val in (metadata or {}).items()]
+    lines.append(",".join(columns))
+    lines += [",".join("" if v is None else format(v, ".17g") for v in row)
+              for row in rows]
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def complex_from_pairs(rows) -> np.ndarray:
     """Flat complex array from [re, im] rows; inverse of ``dumps_with_pairs``."""
     pairs = np.asarray(rows, dtype=float)

@@ -104,7 +104,6 @@ real symbol are Hermitian, and their norms are taken by Lanczos (see
 ``operator_norm``).
 """
 
-import csv
 import itertools
 import json
 import math
@@ -119,7 +118,7 @@ from .gaussian import PhasePoint, gauss_hermite_1d, max_nodes, tensor_rule
 from .heat import CoordinateSplit, max_subset_size, op_T_I, smooth_symbol
 from .hermite import (
     MAX_STABLE_DEGREE, FunctionRep, HermiteBasis, coherent_state,
-    complex_from_pairs, dumps_with_pairs, gamma_map,
+    complex_from_pairs, dumps_with_pairs, gamma_map, write_csv,
 )
 from .symbols import SymbolDescriptor, make_fourier_measure
 
@@ -467,6 +466,9 @@ def _assemble_chain(F: SymbolDescriptor, basis: HermiteBasis, modes,
     return M, q
 
 
+ROUTE_KEYS = ("route", "atoms", "nodes", "order")   # hybrid_matrix's route record
+
+
 def hybrid_matrix(F: SymbolDescriptor, split: CoordinateSplit,
                   basis: HermiteBasis, order: int | None = None) -> OperatorMatrix:
     """Matrix acting symmetrically on the selected block, positively elsewhere.
@@ -766,6 +768,10 @@ class LadderStep:
 
 
 VACUOUS_RATIO = 1e-6   # diff/bound below this flags the bound as vacuous
+# A norm moves by up to 3.4e-15 of itself when its matrix's rows and columns
+# are reordered with every entry bit-identical; the error bar is a difference
+# of two norms, so below this share of the larger one it is rounding.
+NORM_ROUNDING = 1e-14
 
 
 @dataclass
@@ -775,6 +781,7 @@ class ConvergenceReport:
     steps: list
     final: OperatorMatrix
     norm_error_bar: float | None
+    norm_error_bar_floor: float | None
     route_residual: float
     error_bar_route: str | None
 
@@ -805,19 +812,11 @@ class ConvergenceReport:
         ) and self.final_norm <= self.final_bound * (1 + 1e-9)
 
     def to_csv(self, path, metadata: dict | None = None):
-        with open(path, "w", newline="") as fh:
-            for key, val in (metadata or {}).items():
-                fh.write(f"# {key}={val}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["n", "lambda_size", "diff_norm", "diff_bound",
-                             "tail", "final_norm", "cv_bound"])
-            for s in self.steps:
-                writer.writerow([
-                    s.n, s.lambda_size,
-                    "" if s.diff_norm is None else f"{s.diff_norm:.17g}",
-                    "" if s.diff_bound is None else f"{s.diff_bound:.17g}",
-                    f"{s.tail:.17g}", f"{s.norm:.17g}", f"{s.cv_bound:.17g}",
-                ])
+        write_csv(path, metadata,
+                  ["n", "lambda_size", "diff_norm", "diff_bound", "tail",
+                   "final_norm", "cv_bound"],
+                  [(s.n, s.lambda_size, s.diff_norm, s.diff_bound, s.tail, s.norm,
+                    s.cv_bound) for s in self.steps])
 
 
 def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
@@ -832,8 +831,10 @@ def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
     for the first rung only, capped by GW_MAX_SUBSETS on |Lambda_1|, and its
     largest entry against the rung is ``route_residual``.  ``norm_error_bar``
     is the change of the final norm at degree + 1, ``None`` at the largest
-    stable degree.  Each step keeps its rung's route, and ``error_bar_route``
-    is the route of the degree + 1 matrix.
+    stable degree; ``norm_error_bar_floor`` is ``NORM_ROUNDING`` times the
+    larger of the two norms, the size of a bar that is only rounding.  Each
+    step keeps its rung's route, and ``error_bar_route`` is the route of the
+    degree + 1 matrix.
     """
     if F.class_eps is None or F.class_M is None:
         raise InputError("ladder symbols need derivative-class metadata (M, eps)")
@@ -881,9 +882,12 @@ def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
                             "ladder": [list(s) for s in ladder.subsets]})
     # The ladder's full rung is Op^W(F), so the truncation error bar needs
     # only the Weyl matrix one degree up.
-    error_bar = error_bar_route = None
+    error_bar = error_bar_floor = error_bar_route = None
     if basis.max_degree < MAX_STABLE_DEGREE:
         up = weyl_matrix(F, HermiteBasis(basis.dim, h, basis.max_degree + 1), order)
-        error_bar = abs(up.norm() - steps[-1].norm)
+        up_norm = up.norm()
+        error_bar = abs(up_norm - steps[-1].norm)
+        error_bar_floor = NORM_ROUNDING * max(up_norm, steps[-1].norm)
         error_bar_route = up.meta["route"]
-    return ConvergenceReport(steps, final, error_bar, route_residual, error_bar_route)
+    return ConvergenceReport(steps, final, error_bar, error_bar_floor,
+                             route_residual, error_bar_route)

@@ -27,7 +27,6 @@ For coherent states the closed form is
 exp(-(|X|^2+|Y|^2)/(4h)) weyl_kernel(X, Y, Z).
 """
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ import numpy as np
 from ._kernels import wigner_pair_table
 from .errors import InputError, ResourceError
 from .gaussian import PhasePoint, tensor_rule
-from .hermite import FunctionRep, contract_kron, gamma_map
+from .hermite import FunctionRep, contract_kron, gamma_map, write_csv
 from .bargmann import transform_exact_on_nodes, weyl_kernel, weyl_kernel_grid
 
 MAX_OSC_ORDER = 2400
@@ -165,23 +164,12 @@ class WignerGrid:
         return np.abs(self.values) - np.exp(r2 / self.h) * f_norm * g_norm
 
     def to_csv(self, path, metadata: dict | None = None):
-        with open(path, "w", newline="") as fh:
-            for key, val in (metadata or {}).items():
-                fh.write(f"# {key}={val}\n")
-            writer = csv.writer(fh)
-            d = self.zs.shape[1]
-            writer.writerow(
-                [f"z{j}" for j in range(d)]
-                + [f"zeta{j}" for j in range(d)]
-                + ["re", "im"]
-            )
-            for i in range(self.zs.shape[0]):
-                writer.writerow(
-                    [f"{float(v):.17g}" for v in self.zs[i]]
-                    + [f"{float(v):.17g}" for v in self.zetas[i]]
-                    + [f"{float(self.values[i].real):.17g}",
-                       f"{float(self.values[i].imag):.17g}"]
-                )
+        d = self.zs.shape[1]
+        columns = ([f"z{j}" for j in range(d)] + [f"zeta{j}" for j in range(d)]
+                   + ["re", "im"])
+        rows = np.column_stack([self.zs, self.zetas, self.values.real,
+                                self.values.imag]).tolist()
+        write_csv(path, metadata, columns, rows)
 
 
 def wigner_grid(f: FunctionRep, g: FunctionRep, zs, zetas) -> WignerGrid:

@@ -255,6 +255,7 @@ def test_converge_lattice(tmp_path, capsys):
     assert summary["bound_ratios"] == [float(r[2]) / float(r[3])
                                        for r in data[1:]]
     assert summary["vacuous_bound"] is True
+    assert 0.0 < summary["norm_error_bar_floor"] < summary["norm_error_bar"]
     assert summary["rung_routes"] == ["chain"] * 3
     assert summary["error_bar_route"] == "chain"
     # the summary is encoded once: stdout is the file's text
@@ -445,3 +446,125 @@ def test_flag_overrides_win_over_config(tmp_path):
                     "--out", str(out)]) == 0
     op = json.loads((out / "operator.json").read_text())
     assert op["basis"]["max_degree"] == 5
+
+
+# the flags each command takes: the config values it reads
+COMMAND_FLAGS = {
+    "quantize": {"h", "degree", "out"},
+    "converge": {"h", "degree", "out"},
+    "wick": {"h", "degree", "seed", "out"},
+    "wigner": {"dim", "h", "degree", "out"},
+    "heat": {"seed", "out"},
+    "mc": {"h", "seed", "out"},
+    "verify": {"seed", "out", "filter"},
+}
+ALL_FLAGS = ("dim", "h", "degree", "order", "seed", "out", "filter")
+EXP_1D = {"family": "exponential", "a": [0.8], "b": [0.3]}
+SMALL = {
+    "quantize": {"symbol": EXP_1D, "h": H, "degree": 4},
+    "converge": {"symbol": {"family": "lattice", "g": [0.4, 0.3], "t": 1.0,
+                            "V": "cos", "m": 2}, "h": H, "degree": 1},
+    "wick": {"symbol": EXP_1D, "h": H, "degree": 4, "points": 3, "seed": 1},
+    "wigner": {"f": {"kind": "coherent", "x": [0.3], "xi": [-0.2]}, "dim": 1,
+               "h": H, "degree": 3, "grid_points": 3},
+    "heat": {"symbol": EXP_1D, "points": 3, "seed": 1},
+    "mc": {"experiment": "integral", "a": [0.7], "h": H, "n": 100, "seed": 1},
+    "verify": {"seed": 1, "filter": "weyl_oracle_exponential"},
+}
+FLAG_VALUES = {"dim": "2", "h": "0.7", "degree": "5", "seed": "2",
+               "filter": "basis_orthonormality"}
+
+
+def _results(tmp_path, name, command, cfg, *flags):
+    """Exit code and output files of one run, with the metadata left out."""
+    out = tmp_path / name
+    path = write_cfg(tmp_path, f"{name}.json", {**cfg, "out": str(out)})
+    code = run_cli([command, "--config", path, *flags])
+    files = {}
+    for p in sorted(out.glob("*")) if out.exists() else []:
+        if p.suffix == ".json":
+            doc = json.loads(p.read_text())
+            doc.pop("meta", None)
+            files[p.name] = doc
+        else:
+            files[p.name] = [l for l in p.read_text().splitlines()
+                             if not l.startswith(("#", "<!--"))]
+    return code, files
+
+
+def test_each_parser_accepts_exactly_its_flags():
+    import argparse
+    from gweyl.cli import COMMANDS, build_parser
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(COMMANDS) == set(COMMAND_FLAGS)
+    for name, parser in sub.choices.items():
+        got = {s for a in parser._actions for s in a.option_strings}
+        want = {"--config"} | {f"--{f}" for f in COMMAND_FLAGS[name]}
+        assert got - {"-h", "--help"} == want, name
+
+
+@pytest.mark.parametrize("command, flag", [
+    (c, f) for c, flags in COMMAND_FLAGS.items() for f in sorted(flags)])
+def test_each_flag_reaches_the_config(tmp_path, command, flag):
+    base = _results(tmp_path, "base", command, SMALL[command])
+    assert base[0] == 0 and base[1]
+    if flag == "out":
+        elsewhere = tmp_path / "elsewhere"
+        ignored = tmp_path / "ignored"
+        path = write_cfg(tmp_path, "o.json", {**SMALL[command], "out": str(ignored)})
+        assert run_cli([command, "--config", path, "--out", str(elsewhere)]) == 0
+        assert sorted(p.name for p in elsewhere.iterdir()) == sorted(base[1])
+        assert not ignored.exists()
+    else:
+        flagged = _results(tmp_path, "flagged", command, SMALL[command],
+                           f"--{flag}", FLAG_VALUES[flag])
+        assert flagged != base
+
+
+@pytest.mark.parametrize("command, flag", [
+    (c, f) for c, flags in COMMAND_FLAGS.items() for f in ALL_FLAGS
+    if f not in flags])
+def test_flag_outside_the_command_exits_2(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, f"--{flag}", "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+
+def test_no_csv_contains_a_carriage_return(tmp_path):
+    runs = [(c, SMALL[c]) for c in ("converge", "wick", "wigner", "heat")] + [
+        ("mc", {"experiment": "brownian", "K": 4, "n": 20, "seed": 1}),
+        ("mc", {"experiment": "lattice_norm", "b": [1.0, 2.0], "eps": 1.2,
+                "ladder": [1, 2], "n": 1000, "seed": 1}),
+    ]
+    for i, (command, cfg) in enumerate(runs):
+        out = tmp_path / str(i)
+        path = write_cfg(tmp_path, f"{i}.json", {**cfg, "out": str(out)})
+        assert run_cli([command, "--config", path]) == 0
+        (csv_file,) = out.glob("*.csv")
+        text = csv_file.read_bytes()
+        assert text.endswith(b"\n") and b"\r" not in text, csv_file.name
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("wigner", {**SMALL["wigner"], "grid_points": 0}),
+    ("wigner", {**SMALL["wigner"], "grid_points": -3}),
+    ("wick", {**SMALL["wick"], "points": -2}),
+    ("heat", {**SMALL["heat"], "points": -2}),
+    ("heat", {**SMALL["heat"], "t": -1.0}),
+    ("heat", {**SMALL["heat"], "t": 0.0}),
+    ("quantize", {**SMALL["quantize"], "method": "weyl_classical", "oversample": 0}),
+    ("mc", {**SMALL["mc"], "n": 0}),
+    ("mc", {"experiment": "brownian", "K": 4, "n": -1}),
+    ("mc", {"experiment": "brownian", "K": 0, "n": 5}),
+    ("mc", {"experiment": "lattice_norm", "b": [1.0], "eps": 1.2, "ladder": [1],
+            "n": 0}),
+], ids=["grid_points-0", "grid_points-neg", "wick-points", "heat-points", "t-neg",
+        "t-0", "oversample-0", "integral-n", "brownian-n", "brownian-K",
+        "lattice_norm-n"])
+def test_out_of_range_config_values_exit_2(tmp_path, capsys, command, cfg):
+    path = write_cfg(tmp_path, "c.json", {**cfg, "out": str(tmp_path / "out")})
+    assert run_cli([command, "--config", path]) == 2
+    assert "must be" in capsys.readouterr().err

@@ -919,6 +919,20 @@ def test_ladder_constant_symbol():
     assert rep.ok
 
 
+def test_norm_error_bar_floor_separates_rounding_from_truncation():
+    # the constant symbol is the identity at every degree, so its bar is
+    # rounding alone; criterion 03's lattice grows with the degree
+    rep = ladder_run(_const_with_class(2), IndexLadder(2, ((0,), (0, 1))),
+                     HermiteBasis(2, H, 3))
+    assert rep.norm_error_bar <= rep.norm_error_bar_floor
+    assert rep.norm_error_bar_floor == pytest.approx(quantize.NORM_ROUNDING)
+    g = tuple(0.5 * 0.7**j for j in range(4))
+    F = make_lattice(LatticeSymbolParams(d=1, g=g, t=1.0, V="cos"), 2)
+    ladder = IndexLadder(4, ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3)))
+    rep = ladder_run(F, ladder, HermiteBasis(4, H, 2))
+    assert rep.norm_error_bar > rep.norm_error_bar_floor > 0.0
+
+
 def test_ladder_supported_symbol_stabilizes_after_first_rung():
     basis = HermiteBasis(3, H, 2)
     F = make_exponential([1.1, 0.0, 0.0], [0.4, 0.0, 0.0])
