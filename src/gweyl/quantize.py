@@ -46,10 +46,16 @@ parity-odd block is set to exactly 0.
 
 Nearest-neighbour chain symbols assemble from per-site quadrature tables at
 any dimension; generic symbols use a dense tensor grid (dim <= 2).  A chain
-site factor is a sum of separable terms e^{imz} g(zeta) on the q x q tensor
-grid, so a site table contracts the pair table over zeta once per term and
-then over z for every frequency m at once: one pass over the q^2 grid per
-term instead of one per frequency.
+site factor is a sum of separable terms e^{imz} amp e^{-alpha zeta^2}, and
+the pair table is a polynomial of degree <= 2 deg in zeta, so the zeta
+integral of a term is exact on deg + 1 Gauss-Hermite nodes of the Gaussian
+narrowed by e^{-alpha zeta^2}.  Only z needs a quadrature order that resolves
+the frequency waves; it grows with the degree, as the table's z-degree does.
+The zeta nodes pair as +-y and G(z, -zeta) = conj G(z, zeta) (below), so one
+node of each pair is evaluated.  A site table contracts the pair table over
+zeta once per term, a chunk of zeta nodes at a time under a fixed memory
+budget, then over z for every frequency m at once: about (deg + 1) q_z / 2
+table points per term instead of the q^2 of a tensor grid.
 
 The chain route runs in real arithmetic.  A site factor e^{imz} g(zeta) has
 g real and even, and both pair tables satisfy G(z, -zeta) = conj G(z, zeta)
@@ -405,36 +411,69 @@ _SITE_TABLE_CACHE = {}     # per-site tables, oldest evicted first
 _SITE_TABLE_CACHE_CAP = 64
 
 
-def _site_order(mode: str, h: float, nmax: int, order: int | None) -> int:
-    """Grid order of a chain site table: it resolves frequencies to nmax + 6."""
-    return _grid_order(mode, h, 64 if order is None else order, float(nmax + 6))
+def _site_order(mode: str, h: float, nmax: int, deg: int, order: int | None) -> int:
+    """Order of a chain site table's z rule.
+
+    It resolves frequencies to nmax + 6 against the mode's Gaussian on a base
+    of ``order`` (64 by default) nodes.  Above degree 16 the base grows by one
+    node per degree, since the pair table is a polynomial of degree 2 deg in
+    z and the rule must stay exact for it beside the frequency waves.
+    """
+    base = 64 if order is None else order
+    return _grid_order(mode, h, base + max(0, deg - 16), float(nmax + 6))
 
 
 def _chain_site_table(entries, mode: str, h: float, deg: int, moff: int,
                       nmax: int, order: int | None) -> np.ndarray:
     """Reduced per-site factor tables over the frequency axis, memoized.
 
-    Frequencies beyond nmax + 6 only pair with negligible bond coefficients,
-    so the grid is sized for that effective band.
+    Every site entry is coef e^{-zvar m^2/2} e^{imz} times amp e^{-alpha zeta^2}
+    and the pair table is a polynomial of degree <= 2 deg in zeta, so the zeta
+    integral is exact on deg + 1 Gauss-Hermite nodes of N(0, v / (1 + 2 alpha v))
+    with weights scaled by amp / sqrt(1 + 2 alpha v), v the mode's variance.
+    Only z takes the ``_site_order`` rule, and the budget (GW_MAX_NODES)
+    caps q_z (deg + 1).  Each entry's pair table is evaluated on the z nodes
+    times a chunk of zeta nodes at a time, so the tables held at once stay
+    near _ATOM_CHUNK_BYTES, and contracted over zeta, then over z for every
+    frequency m at once in one matrix product.  Frequencies beyond nmax + 6
+    only pair with negligible bond coefficients, so the z rule is sized for
+    that effective band.
     """
+    d = deg + 1
+    qz = _site_order(mode, h, nmax, deg, order)
+    if qz * d > max_nodes():
+        raise ResourceError(
+            f"chain site table needs {qz} x {d} nodes at degree {deg}, "
+            f"budget is {max_nodes()} (GW_MAX_NODES)"
+        )
     key = (entries, mode, h, deg, moff, nmax, order, _MUTATE_TABLE_SIGN)
     if key in _SITE_TABLE_CACHE:
         return _SITE_TABLE_CACHE[key]
-    q = _site_order(mode, h, nmax, order)
-    nodes, _ = _coord_grid(h, mode, q)
-    # The grid is the q x q tensor rule in (z, zeta) and every site entry is
-    # coef e^{-zvar m^2/2} e^{imz} times amp e^{-alpha zeta^2}, so each entry
-    # contracts the table over zeta once, then over z for all m at once.
-    tbl = _coord_table(h, mode, deg, nodes).reshape(deg + 1, deg + 1, q, q)
-    x, wx = gauss_hermite_1d(q, _mode_variance(mode, h))
+    v = _mode_variance(mode, h)
+    x, wx = gauss_hermite_1d(qz, v)
     m = np.arange(-moff, moff + 1, dtype=float)
     wave = np.exp(1j * m[:, None] * x[None, :]) * wx[None, :]
-    out = sum(
-        np.einsum("mz,lkz->mkl",
-                  e.coef * np.exp(-0.5 * e.zvar * m**2)[:, None] * wave,
-                  tbl @ (e.amp * np.exp(-e.alpha * x**2) * wx), optimize=True)
-        for e in entries
-    )
+    # the zeta nodes pair as +-y with equal weights and G(z, -y) = conj G(z, y),
+    # so one node of each pair is evaluated with its weight doubled (the
+    # centre node of an odd rule once) and the real part kept
+    half = (d + 1) // 2
+    fold = np.where(np.arange(half) == d // 2, 1.0, 2.0)
+    step = max(1, _ATOM_CHUNK_BYTES // (16 * d * d * qz))
+    out = np.zeros((m.size, d * d), dtype=complex)
+    for e in entries:
+        den = 1.0 + 2.0 * e.alpha * v
+        y, wy = gauss_hermite_1d(d, v / den)
+        wy = fold * wy[:half] * (e.amp / math.sqrt(den))
+        A = np.zeros(d * d * qz)
+        for lo in range(0, half, step):
+            yc = y[lo:min(lo + step, half)]
+            pts = np.stack([np.repeat(x, yc.size), np.tile(yc, qz)], axis=1)
+            tbl = _coord_table(h, mode, deg, pts).reshape(-1, yc.size)
+            A += (tbl @ wy[lo:lo + yc.size]).real
+        damp = e.coef * np.exp(-0.5 * e.zvar * m**2)
+        out += (damp[:, None] * wave) @ A.reshape(d * d, qz).T
+    # A is indexed [l, k]; the table is U[m, k, l]
+    out = np.ascontiguousarray(out.reshape(m.size, d, d).transpose(0, 2, 1))
     _SITE_TABLE_CACHE[key] = out
     if len(_SITE_TABLE_CACHE) > _SITE_TABLE_CACHE_CAP:
         del _SITE_TABLE_CACHE[next(iter(_SITE_TABLE_CACHE))]
@@ -462,7 +501,7 @@ def _assemble_chain(F: SymbolDescriptor, basis: HermiteBasis, modes,
     sigma = 1.0 - 2.0 * (basis.indices.sum(axis=1) // 2 % 2)
     M = sigma[:, None] * chain_contract(V, a) * sigma
     M[_parity_odd(basis)] = 0.0
-    q = max(_site_order(m, h, data.nmax, order) for m in modes)
+    q = max(_site_order(m, h, data.nmax, deg, order) for m in modes)
     return M, q
 
 
@@ -474,10 +513,11 @@ def hybrid_matrix(F: SymbolDescriptor, split: CoordinateSplit,
     """Matrix acting symmetrically on the selected block, positively elsewhere.
 
     Routes, first match: Fourier atoms and Gaussian symbols in closed form
-    (``order`` is ignored), chain symbols from per-site grids, anything else
-    on a dense grid (dim <= 2).  ``order`` sets the quadrature order of the
-    last two.  ``meta`` records the route and its size: the atom or node
-    count, or the grid order actually used.
+    (``order`` is ignored), chain symbols from per-site tables (an exact zeta
+    rule, and a z rule on ``order`` that grows with the degree), anything
+    else on a dense grid (dim <= 2).  ``order`` sets the base quadrature
+    order of the last two.  ``meta`` records the route and its size: the
+    atom or node count, or the largest z or grid order actually used.
     """
     if split.ambient_dim != basis.dim or F.dim != basis.dim:
         raise InputError("symbol, split and basis dimensions must agree")

@@ -482,7 +482,7 @@ def _site_table_grid_sweep(entries, mode, h, deg, moff, nmax):
 
 
 @pytest.mark.parametrize("mode", ["weyl", "aw"])
-@pytest.mark.parametrize("degree", [3, 8])
+@pytest.mark.parametrize("degree", [3, 8, 16])
 def test_chain_site_table_matches_grid_sweep(monkeypatch, mode, degree):
     import gweyl.quantize as q
     from gweyl.heat import op_T_I
@@ -500,6 +500,49 @@ def test_chain_site_table_matches_grid_sweep(monkeypatch, mode, degree):
         want = _site_table_grid_sweep(entries, mode, H, degree, data.mrange,
                                       data.nmax)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("method", [weyl_matrix, antiwick_matrix])
+@pytest.mark.parametrize("degree", [64, 100])
+def test_chain_route_resolved_at_high_degree(monkeypatch, method, degree):
+    # the zeta rule is exact and the z rule grows with the degree, so raising
+    # the z order by 60 moves no entry; the q x q grid of the same base order
+    # was off by 8.4e-3 of the largest entry at degree 64 under Weyl
+    import tracemalloc
+
+    monkeypatch.setattr(quantize, "_SITE_TABLE_CACHE", {})
+    F = make_lattice(LatticeSymbolParams(d=1, g=(0.5,), t=1.0, V="cos"), 2)
+    basis = HermiteBasis(1, H, degree)
+    tracemalloc.start()
+    try:
+        M = method(F, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ref = method(F, basis, order=64 + 60)
+    assert M.meta["route"] == "chain"
+    assert ref.meta["order"] == M.meta["order"] + 60
+    assert peak < 1 << 30
+    assert np.abs(M.entries - ref.entries).max() <= 1e-12 * np.abs(ref.entries).max()
+
+
+def test_chain_route_node_budget(monkeypatch):
+    # a site table takes q_z x (deg + 1) nodes per entry; past the budget
+    # the route raises before building any table
+    from gweyl.errors import ResourceError
+
+    monkeypatch.setattr(quantize, "_SITE_TABLE_CACHE", {})
+    F = make_lattice(LatticeSymbolParams(d=1, g=(0.5,), t=1.0, V="cos"), 2)
+    basis = HermiteBasis(1, H, 8)
+    qz = weyl_matrix(F, basis).meta["order"]
+    monkeypatch.setenv("GW_MAX_NODES", str(qz * 9))
+    weyl_matrix(F, basis)
+    monkeypatch.setenv("GW_MAX_NODES", str(qz * 9 - 1))
+    monkeypatch.setattr(quantize, "_SITE_TABLE_CACHE", {})
+    monkeypatch.setattr(quantize, "_coord_table",
+                        lambda *args: pytest.fail("table built past the budget"))
+    with pytest.raises(ResourceError):
+        weyl_matrix(F, basis)
 
 
 def test_chain_site_table_cache_is_bounded(monkeypatch):
