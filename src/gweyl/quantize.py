@@ -45,17 +45,24 @@ with its weight doubled (an odd rule's centre node once), and the
 parity-odd block is set to exactly 0.
 
 Nearest-neighbour chain symbols assemble from per-site quadrature tables at
-any dimension; generic symbols use a dense tensor grid (dim <= 2).  A chain
-site factor is a sum of separable terms e^{imz} amp e^{-alpha zeta^2}, and
-the pair table is a polynomial of degree <= 2 deg in zeta, so the zeta
-integral of a term is exact on deg + 1 Gauss-Hermite nodes of the Gaussian
-narrowed by e^{-alpha zeta^2}.  Only z needs a quadrature order that resolves
-the frequency waves; it grows with the degree, as the table's z-degree does.
+any dimension; generic symbols use a dense tensor grid (dim <= 2).  Each
+route sizes its own rule from the degree.  A chain site factor is a sum of
+separable terms e^{imz} amp e^{-alpha zeta^2}, and the pair table is a
+polynomial of degree <= 2 deg in zeta, so the zeta integral of a term is
+exact on deg + 1 Gauss-Hermite nodes of the Gaussian narrowed by
+e^{-alpha zeta^2}.  Only z needs a quadrature order that resolves the
+frequency waves: 64 nodes plus a frequency term, grown by one node per
+degree above 16, as the table's z-degree 2 deg grows.  (Projecting e^{imz}
+on the Hermite polynomials of degree <= 2 deg would be exact, but its terms
+cancel: it lost 3e-9 of the largest entry at degree 16, all of it at 40.)
 The zeta nodes pair as +-y and G(z, -zeta) = conj G(z, zeta) (below), so one
 node of each pair is evaluated.  A site table contracts the pair table over
 zeta once per term, a chunk of zeta nodes at a time under a fixed memory
 budget, then over z for every frequency m at once: about (deg + 1) q_z / 2
-table points per term instead of the q^2 of a tensor grid.
+table points per term instead of the q^2 of a tensor grid.  The dense grid
+has 80 (dim 1) or 48 (dim 2) nodes per variable, grown as the z rule is, and
+is contracted a block of first-coordinate nodes at a time under the same
+memory budget, so its pair table is never held whole.
 
 The chain route runs in real arithmetic.  A site factor e^{imz} g(zeta) has
 g real and even, and both pair tables satisfy G(z, -zeta) = conj G(z, zeta)
@@ -270,57 +277,52 @@ def _coord_table(h: float, mode: str, deg: int, nodes: np.ndarray) -> np.ndarray
     return bargmann_pair_table(wz / math.sqrt(2.0 * h), deg)
 
 
-def _grid_order(mode: str, h: float, base: int, max_freq: float) -> int:
-    """Order needed to resolve exp(i m z) against the mode's Gaussian."""
-    v = _mode_variance(mode, h)
-    return base + int(math.ceil(0.75 * max_freq**2 * v))
+def _grown_order(base: int, deg: int) -> int:
+    """``base`` nodes plus one per degree above 16, as the pair table's degree grows."""
+    return base + max(0, deg - 16)
 
 
 # ---------------------------------------------------------------------------
 # assembly paths
 # ---------------------------------------------------------------------------
 
-_DENSE_BLOCK = 64     # first-coordinate nodes per block of the dim-2 grid
-_ATOM_CHUNK_BYTES = 1 << 27   # atom tables held at once by _assemble_atoms
+_ATOM_CHUNK_BYTES = 1 << 27   # tables held at once by the atom, dense and chain routes
 _RANK_TOL = 1e-13     # covariance eigenvalues below this share of the top are 0
 _MIXTURE_WORK = 4096  # Gaussian route: nodes * n^2 may not pass this * max_nodes()
 
 
-def _assemble_dense(F: SymbolDescriptor, basis: HermiteBasis, modes,
-                    order: int | None):
-    """Tensor-grid quadrature of a generic symbol; returns (matrix, order used)."""
+def _assemble_dense(F: SymbolDescriptor, basis: HermiteBasis, modes, order: int):
+    """Tensor-grid quadrature of a generic symbol at ``order`` nodes per variable.
+
+    F on a block of first-coordinate nodes times the second coordinate's grid
+    is contracted against both tables, so about _ATOM_CHUNK_BYTES are held.
+    """
     D, h, deg = basis.dim, basis.h, basis.max_degree
     if D > 2:
         raise ResourceError("dense quantization grids are limited to dim <= 2")
-    base = order if order is not None else (80 if D == 1 else 48)
-    grids = [_coord_grid(h, modes[j], base) for j in range(D)]
-    tables = [_coord_table(h, modes[j], deg, grids[j][0]) for j in range(D)]
-    if D == 1:
-        nodes, w = grids[0]
-        vals = F(nodes[:, :1], nodes[:, 1:])
-        M = np.einsum("i,lki->kl", w * vals, tables[0])
+    d = deg + 1
+    n1, w1 = _coord_grid(h, modes[0], order)
+    if D == 2:
+        n2, w2 = _coord_grid(h, modes[1], order)
+        T2 = (_coord_table(h, modes[1], deg, n2) * w2).reshape(d * d, -1)
     else:
-        (n1, w1), (n2, w2) = grids
-        q1, q2 = n1.shape[0], n2.shape[0]
-        # F is evaluated and contracted against the second coordinate's table
-        # a block of first-coordinate nodes at a time, which bounds the
-        # memory of the q1 x q2 tensor grid.
-        A = np.empty((q1, deg + 1, deg + 1), dtype=complex)
-        for x0 in range(0, q1, _DENSE_BLOCK):
-            x1 = min(x0 + _DENSE_BLOCK, q1)
-            z = np.empty((x1 - x0, q2, 2))
-            ze = np.empty((x1 - x0, q2, 2))
-            z[..., 0] = n1[x0:x1, 0][:, None]
-            ze[..., 0] = n1[x0:x1, 1][:, None]
-            z[..., 1] = n2[:, 0][None, :]
-            ze[..., 1] = n2[:, 1][None, :]
-            vals = F(z.reshape(-1, 2), ze.reshape(-1, 2)).reshape(x1 - x0, q2)
-            G = (w1[x0:x1, None] * w2[None, :]) * vals
-            A[x0:x1] = np.einsum("xy,aby->xab", G, tables[1], optimize=True)
-        K = np.einsum("abx,xcd->bdac", tables[0], A, optimize=True)
-        dd = deg + 1
-        M = K.reshape(dd * dd, dd * dd)
-    return M, base
+        # one node of weight 1 with a 1 x 1 table: no second coordinate
+        n2, T2 = np.zeros((1, 0)), np.ones((1, 1))
+    q2 = n2.shape[0]
+    # per first-coordinate node: its table and temporaries, and F's points
+    step = max(1, _ATOM_CHUNK_BYTES // (16 * (2 * d * d + 8 * q2)))
+    P = np.zeros((d * d, T2.shape[0]), dtype=complex)   # [(l1, k1), (l2, k2)]
+    for lo in range(0, n1.shape[0], step):
+        x = n1[lo:lo + step]
+        z, ze = np.empty((2, len(x), q2, D))
+        z[..., 0], ze[..., 0] = x[:, None, 0], x[:, None, 1]
+        z[..., 1:], ze[..., 1:] = n2[:, :1], n2[:, 1:]
+        vals = F(z.reshape(-1, D), ze.reshape(-1, D)).reshape(len(x), q2)
+        vals *= w1[lo:lo + step, None]
+        P += _coord_table(h, modes[0], deg, x).reshape(d * d, -1) @ (vals @ T2.T)
+    # P is indexed [l1, k1, l2, k2]; the matrix is [(k1, k2), (l1, l2)]
+    axes = list(range(1, 2 * D, 2)) + list(range(0, 2 * D, 2))
+    return P.reshape((d, d) * D).transpose(axes).reshape(d**D, d**D)
 
 
 def _assemble_atoms(c, a, b, basis: HermiteBasis, modes) -> np.ndarray:
@@ -409,22 +411,18 @@ def _gaussian_mixture(quad, basis: HermiteBasis, modes):
 
 _SITE_TABLE_CACHE = {}     # per-site tables, oldest evicted first
 _SITE_TABLE_CACHE_CAP = 64
+_SITE_Z_BASE = 64          # z rule's base order at degree <= 16
 
 
-def _site_order(mode: str, h: float, nmax: int, deg: int, order: int | None) -> int:
-    """Order of a chain site table's z rule.
-
-    It resolves frequencies to nmax + 6 against the mode's Gaussian on a base
-    of ``order`` (64 by default) nodes.  Above degree 16 the base grows by one
-    node per degree, since the pair table is a polynomial of degree 2 deg in
-    z and the rule must stay exact for it beside the frequency waves.
-    """
-    base = 64 if order is None else order
-    return _grid_order(mode, h, base + max(0, deg - 16), float(nmax + 6))
+def _site_order(mode: str, h: float, nmax: int, deg: int) -> int:
+    """z order of a chain site table: exp(i m z) resolved to |m| = nmax + 6
+    against the mode's Gaussian, on a grown base of _SITE_Z_BASE nodes."""
+    freq = 0.75 * (nmax + 6) ** 2 * _mode_variance(mode, h)
+    return _grown_order(_SITE_Z_BASE, deg) + int(math.ceil(freq))
 
 
 def _chain_site_table(entries, mode: str, h: float, deg: int, moff: int,
-                      nmax: int, order: int | None) -> np.ndarray:
+                      nmax: int) -> np.ndarray:
     """Reduced per-site factor tables over the frequency axis, memoized.
 
     Every site entry is coef e^{-zvar m^2/2} e^{imz} times amp e^{-alpha zeta^2}
@@ -440,13 +438,13 @@ def _chain_site_table(entries, mode: str, h: float, deg: int, moff: int,
     that effective band.
     """
     d = deg + 1
-    qz = _site_order(mode, h, nmax, deg, order)
+    qz = _site_order(mode, h, nmax, deg)
     if qz * d > max_nodes():
         raise ResourceError(
             f"chain site table needs {qz} x {d} nodes at degree {deg}, "
             f"budget is {max_nodes()} (GW_MAX_NODES)"
         )
-    key = (entries, mode, h, deg, moff, nmax, order, _MUTATE_TABLE_SIGN)
+    key = (entries, mode, h, deg, moff, nmax, _MUTATE_TABLE_SIGN)
     if key in _SITE_TABLE_CACHE:
         return _SITE_TABLE_CACHE[key]
     v = _mode_variance(mode, h)
@@ -480,8 +478,7 @@ def _chain_site_table(entries, mode: str, h: float, deg: int, moff: int,
     return out
 
 
-def _assemble_chain(F: SymbolDescriptor, basis: HermiteBasis, modes,
-                    order: int | None):
+def _assemble_chain(F: SymbolDescriptor, basis: HermiteBasis, modes):
     """Chain symbol from per-site tables; returns (matrix, largest order used)."""
     data = F.chain
     D, h, deg = basis.dim, basis.h, basis.max_degree
@@ -489,7 +486,7 @@ def _assemble_chain(F: SymbolDescriptor, basis: HermiteBasis, modes,
         raise InputError("chain symbol does not match the basis dimension")
     moff = data.mrange
     U = np.stack([
-        _chain_site_table(data.site[j], modes[j], h, deg, moff, data.nmax, order)
+        _chain_site_table(data.site[j], modes[j], h, deg, moff, data.nmax)
         for j in range(D)
     ])
     # rotated tables i^(k-l) U are real (see the module docstring); their
@@ -501,7 +498,7 @@ def _assemble_chain(F: SymbolDescriptor, basis: HermiteBasis, modes,
     sigma = 1.0 - 2.0 * (basis.indices.sum(axis=1) // 2 % 2)
     M = sigma[:, None] * chain_contract(V, a) * sigma
     M[_parity_odd(basis)] = 0.0
-    q = max(_site_order(m, h, data.nmax, deg, order) for m in modes)
+    q = max(_site_order(m, h, data.nmax, deg) for m in modes)
     return M, q
 
 
@@ -509,15 +506,17 @@ ROUTE_KEYS = ("route", "atoms", "nodes", "order")   # hybrid_matrix's route reco
 
 
 def hybrid_matrix(F: SymbolDescriptor, split: CoordinateSplit,
-                  basis: HermiteBasis, order: int | None = None) -> OperatorMatrix:
+                  basis: HermiteBasis) -> OperatorMatrix:
     """Matrix acting symmetrically on the selected block, positively elsewhere.
 
-    Routes, first match: Fourier atoms and Gaussian symbols in closed form
-    (``order`` is ignored), chain symbols from per-site tables (an exact zeta
-    rule, and a z rule on ``order`` that grows with the degree), anything
-    else on a dense grid (dim <= 2).  ``order`` sets the base quadrature
-    order of the last two.  ``meta`` records the route and its size: the
-    atom or node count, or the largest z or grid order actually used.
+    Routes, first match: Fourier atoms and Gaussian symbols in closed form,
+    chain symbols from per-site tables (an exact zeta rule, and a z rule of
+    64 nodes plus the frequency term), anything else on a dense tensor grid
+    (dim <= 2) of 80 (dim 1) or 48 (dim 2) nodes per variable.  Both orders
+    grow by one node per degree above 16, and the dense grid is contracted a
+    block of first-coordinate nodes at a time under a fixed memory budget.
+    ``meta`` records the route and its size: the atom or node count, or the
+    largest z or grid order used.
     """
     if split.ambient_dim != basis.dim or F.dim != basis.dim:
         raise InputError("symbol, split and basis dimensions must agree")
@@ -529,7 +528,7 @@ def hybrid_matrix(F: SymbolDescriptor, split: CoordinateSplit,
         M = _assemble_atoms(c, a, b, basis, modes)
         meta.update(route="atoms", atoms=int(c.size))
     elif F.chain is not None:
-        M, q = _assemble_chain(F, basis, modes, order)
+        M, q = _assemble_chain(F, basis, modes)
         meta.update(route="chain", order=q)
     elif F.quad is not None:
         c, a, b, nodes = _gaussian_mixture(F.quad, basis, modes)
@@ -537,37 +536,35 @@ def hybrid_matrix(F: SymbolDescriptor, split: CoordinateSplit,
         M[_parity_odd(basis)] = 0.0
         meta.update(route="gaussian", nodes=nodes)
     else:
-        M, q = _assemble_dense(F, basis, modes, order)
+        q = _grown_order(80 if basis.dim == 1 else 48, basis.max_degree)
+        M = _assemble_dense(F, basis, modes, q)
         meta.update(route="dense", order=q)
     return OperatorMatrix(basis, M, meta)
 
 
-def weyl_matrix(F: SymbolDescriptor, basis: HermiteBasis,
-                order: int | None = None) -> OperatorMatrix:
+def weyl_matrix(F: SymbolDescriptor, basis: HermiteBasis) -> OperatorMatrix:
     """Symmetric quantization matrix (quadratic-form route)."""
     split = CoordinateSplit(basis.dim, tuple(range(basis.dim)))
-    out = hybrid_matrix(F, split, basis, order)
+    out = hybrid_matrix(F, split, basis)
     out.meta["method"] = "weyl"
     return out
 
 
-def antiwick_matrix(F: SymbolDescriptor, basis: HermiteBasis,
-                    order: int | None = None) -> OperatorMatrix:
+def antiwick_matrix(F: SymbolDescriptor, basis: HermiteBasis) -> OperatorMatrix:
     """Positive quantization matrix (anti-holomorphic diagonal route)."""
     split = CoordinateSplit(basis.dim, ())
-    out = hybrid_matrix(F, split, basis, order)
+    out = hybrid_matrix(F, split, basis)
     out.meta["method"] = "antiwick"
     return out
 
 
-def weyl_form(F: SymbolDescriptor, f: FunctionRep, g: FunctionRep,
-              order: int | None = None) -> complex:
+def weyl_form(F: SymbolDescriptor, f: FunctionRep, g: FunctionRep) -> complex:
     """Quadratic form <Op(F) f, g> = int F(Z) W_h(f, g)(Z) dmu_{h/2}(Z)."""
     if F.growth not in ("bounded", "polynomial"):
         raise InputError(f"undeclared growth class {F.growth!r}")
     if f.basis != g.basis:
         raise InputError("f and g must share a basis")
-    M = weyl_matrix(F, f.basis, order)
+    M = weyl_matrix(F, f.basis)
     return complex(np.conj(g.coeffs) @ M.entries @ f.coeffs)
 
 
@@ -685,12 +682,12 @@ def weyl_matrix_classical(F: SymbolDescriptor, basis: HermiteBasis,
     )
 
 
-def antiwick_equals_smoothed_weyl_check(F: SymbolDescriptor, basis: HermiteBasis,
-                                        order: int | None = None) -> float:
+def antiwick_equals_smoothed_weyl_check(F: SymbolDescriptor,
+                                        basis: HermiteBasis) -> float:
     """Spectral norm of antiwick(F) - classical(half-heat-smoothed F), dim 1."""
     if basis.dim != 1:
         raise InputError("the smoothed-symbol check runs in dim 1")
-    aw = antiwick_matrix(F, basis, order)
+    aw = antiwick_matrix(F, basis)
     smoothed = smooth_symbol(F, range(F.dim), 0.5 * basis.h)
     cl = weyl_matrix_classical(smoothed, basis)
     return operator_norm(aw.entries - cl.entries)
@@ -859,8 +856,8 @@ class ConvergenceReport:
                     s.cv_bound) for s in self.steps])
 
 
-def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
-               order: int | None = None) -> ConvergenceReport:
+def ladder_run(F: SymbolDescriptor, ladder: IndexLadder,
+               basis: HermiteBasis) -> ConvergenceReport:
     """Assemble the hybrid-operator ladder of F and audit it against the bounds.
 
     Rung n is the single hybrid matrix of F with symmetric block Lambda_n,
@@ -892,7 +889,7 @@ def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
     M0 = float(F.class_M)
 
     def hybrid(G, block):
-        return hybrid_matrix(G, CoordinateSplit(basis.dim, block), basis, order)
+        return hybrid_matrix(G, CoordinateSplit(basis.dim, block), basis)
 
     steps = []
     running = None
@@ -924,7 +921,7 @@ def ladder_run(F: SymbolDescriptor, ladder: IndexLadder, basis: HermiteBasis,
     # only the Weyl matrix one degree up.
     error_bar = error_bar_floor = error_bar_route = None
     if basis.max_degree < MAX_STABLE_DEGREE:
-        up = weyl_matrix(F, HermiteBasis(basis.dim, h, basis.max_degree + 1), order)
+        up = weyl_matrix(F, HermiteBasis(basis.dim, h, basis.max_degree + 1))
         up_norm = up.norm()
         error_bar = abs(up_norm - steps[-1].norm)
         error_bar_floor = NORM_ROUNDING * max(up_norm, steps[-1].norm)

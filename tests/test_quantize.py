@@ -292,9 +292,8 @@ def test_gaussian_route_matches_dense_dim2(selected):
     basis = HermiteBasis(2, H, 3)
     M = hybrid_matrix(F, CoordinateSplit(2, selected), basis)
     modes = ["weyl" if j in selected else "aw" for j in range(2)]
-    want, order = _assemble_dense(F, basis, modes, 72)
+    want = _assemble_dense(F, basis, modes, 72)
     assert M.meta["route"] == "gaussian" and M.meta["nodes"] == 7**4
-    assert order == 72
     assert np.abs(M.entries - want).max() < 1e-13
 
 
@@ -310,7 +309,7 @@ def test_gaussian_route_degenerate_forms():
     basis = HermiteBasis(1, H, 6)
     M = weyl_matrix(F, basis)
     assert M.meta["nodes"] == 7
-    want, _ = _assemble_dense(F, basis, ["weyl"], 120)
+    want = _assemble_dense(F, basis, ["weyl"], 120)
     assert np.abs(M.entries - want).max() < 1e-13
     # rank 2 in dim 2, on coordinate 0 only: Op(F) = Op_1(F_1) (x) I
     F2 = make_quadratic(np.diag([1.0, 0.0, 0.5, 0.0]), 0.7)
@@ -389,14 +388,29 @@ def test_hybrid_meta_records_route():
     basis = HermiteBasis(1, H, 4)
     generic = SymbolDescriptor(
         1, lambda z, zeta: np.exp(-z[:, 0] ** 2 - zeta[:, 0] ** 2), name="g")
-    assert weyl_matrix(generic, basis).meta["order"] == 80
-    assert weyl_matrix(generic, basis, order=30).meta["order"] == 30
+    dense = weyl_matrix(generic, basis).meta
+    assert dense["route"] == "dense" and dense["order"] == 80
+    # the dense grid grows by one node per degree above 16
+    assert weyl_matrix(generic, HermiteBasis(1, H, 40)).meta["order"] == 104
     F = make_lattice(LatticeSymbolParams(d=1, g=(0.3,), t=0.5, V="cos"), 2)
     chain = weyl_matrix(F, basis).meta
     assert chain["route"] == "chain" and chain["order"] > 64
-    atoms = weyl_matrix(make_exponential([0.3], [0.2]), basis, order=30).meta
+    atoms = weyl_matrix(make_exponential([0.3], [0.2]), basis).meta
     assert atoms["route"] == "atoms" and atoms["atoms"] == 1
     assert "order" not in atoms
+
+
+def test_no_public_quantize_callable_takes_an_order():
+    # routes size their own quadrature; only the translation-phase oracle
+    # sets its own rule
+    import inspect
+
+    takes_order = sorted(
+        name for name, obj in vars(quantize).items()
+        if callable(obj) and not name.startswith("_")
+        and getattr(obj, "__module__", None) == quantize.__name__
+        and "order" in inspect.signature(obj).parameters)
+    assert takes_order == ["oracle_U", "quantize_fourier_measure"]
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +463,13 @@ def test_hybrid_edge_splits(rng):
     )
 
 
-def test_dense_dim2_blocks_match_kron_of_dim1():
+def test_dense_dim2_blocks_match_kron_of_dim1(monkeypatch):
     # a separable generic symbol: the blocked dim-2 grid must reproduce the
     # tensor product of the two dim-1 dense matrices; order 10 gives 100
-    # first-coordinate nodes, so the last block of rows is partial
+    # first-coordinate nodes, and a budget of 30 of them per block leaves
+    # the last block partial
+    from gweyl.quantize import _assemble_dense
+
     f1 = lambda z, zeta: np.exp(-0.3 * z**2 - 0.2 * z * zeta - 0.6 * zeta**2)
     f2 = lambda z, zeta: np.exp(-0.5 * z**2 + 0.1 * z * zeta - 0.4 * zeta**2
                                 + 0.8j * zeta)
@@ -461,10 +478,12 @@ def test_dense_dim2_blocks_match_kron_of_dim1():
     F1 = SymbolDescriptor(1, lambda z, zeta: f1(z[:, 0], zeta[:, 0]))
     F2 = SymbolDescriptor(1, lambda z, zeta: f2(z[:, 0], zeta[:, 0]))
     basis, b1 = HermiteBasis(2, H, 3), HermiteBasis(1, H, 3)
-    M = hybrid_matrix(F, CoordinateSplit(2, (0,)), basis, order=10)
-    want = np.kron(weyl_matrix(F1, b1, order=10).entries,
-                   antiwick_matrix(F2, b1, order=10).entries)
-    assert np.abs(M.entries - want).max() < 1e-13
+    want = np.kron(_assemble_dense(F1, b1, ["weyl"], 10),
+                   _assemble_dense(F2, b1, ["aw"], 10))
+    # per first-coordinate node: 2 d^2 table and 8 q2 point entries of 16 bytes
+    monkeypatch.setattr(quantize, "_ATOM_CHUNK_BYTES", 30 * 16 * (2 * 16 + 8 * 100))
+    M = _assemble_dense(F, basis, ["weyl", "aw"], 10)
+    assert np.abs(M - want).max() < 1e-13
 
 
 def _site_table_grid_sweep(entries, mode, h, deg, moff, nmax):
@@ -473,7 +492,7 @@ def _site_table_grid_sweep(entries, mode, h, deg, moff, nmax):
     import gweyl.quantize as q
     from gweyl.symbols import _chain_site_factor
 
-    order = q._grid_order(mode, h, 64, float(nmax + 6))
+    order = q._site_order(mode, h, nmax, deg)
     nodes, w = q._coord_grid(h, mode, order)
     tbl = q._coord_table(h, mode, deg, nodes)
     facs = np.stack([_chain_site_factor(entries, m, nodes[:, 0], nodes[:, 1])
@@ -496,34 +515,76 @@ def test_chain_site_table_matches_grid_sweep(monkeypatch, mode, degree):
         entries = data.site[j]
         assert len(entries) == n_entries
         got = q._chain_site_table(entries, mode, H, degree, data.mrange,
-                                  data.nmax, None)
+                                  data.nmax)
         want = _site_table_grid_sweep(entries, mode, H, degree, data.mrange,
                                       data.nmax)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("method", [weyl_matrix, antiwick_matrix])
-@pytest.mark.parametrize("degree", [64, 100])
-def test_chain_route_resolved_at_high_degree(monkeypatch, method, degree):
-    # the zeta rule is exact and the z rule grows with the degree, so raising
-    # the z order by 60 moves no entry; the q x q grid of the same base order
-    # was off by 8.4e-3 of the largest entry at degree 64 under Weyl
+# the 1-site cosine lattice's symbol, e^{-0.25 zeta^2}, on the Gaussian route
+_ONE_SITE_GAUSSIAN = make_quadratic(np.diag([0.0, 0.25]), 1.0)
+
+
+def _peak_and_matrix(method, F, basis):
     import tracemalloc
 
-    monkeypatch.setattr(quantize, "_SITE_TABLE_CACHE", {})
-    F = make_lattice(LatticeSymbolParams(d=1, g=(0.5,), t=1.0, V="cos"), 2)
-    basis = HermiteBasis(1, H, degree)
     tracemalloc.start()
     try:
         M = method(F, basis)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1], M
     finally:
         tracemalloc.stop()
-    ref = method(F, basis, order=64 + 60)
-    assert M.meta["route"] == "chain"
-    assert ref.meta["order"] == M.meta["order"] + 60
+
+
+@pytest.mark.parametrize("method", [weyl_matrix, antiwick_matrix])
+@pytest.mark.parametrize("degree", [64, 100])
+def test_chain_route_resolved_at_high_degree(monkeypatch, method, degree):
+    # the zeta rule is exact and the z rule grows with the degree, so the
+    # chain route matches the exact Gaussian route of the same symbol; the
+    # q x q grid of the same base order was off by 8.4e-3 of the largest
+    # entry at degree 64 under Weyl
+    monkeypatch.setattr(quantize, "_SITE_TABLE_CACHE", {})
+    F = make_lattice(LatticeSymbolParams(d=1, g=(0.5,), t=1.0, V="cos"), 2)
+    basis = HermiteBasis(1, H, degree)
+    peak, M = _peak_and_matrix(method, F, basis)
+    ref = method(_ONE_SITE_GAUSSIAN, basis)
+    assert M.meta["route"] == "chain" and ref.meta["route"] == "gaussian"
     assert peak < 1 << 30
     assert np.abs(M.entries - ref.entries).max() <= 1e-12 * np.abs(ref.entries).max()
+
+
+@pytest.mark.parametrize("method, degree", [(weyl_matrix, 64), (antiwick_matrix, 64),
+                                            (weyl_matrix, 100)])
+def test_dense_route_resolved_at_high_degree(method, degree):
+    # a func-only copy of the 1-site lattice symbol takes the dense grid,
+    # whose order grows with the degree; a fixed order of 80 was off by
+    # 6.1e-7 of the largest entry at degree 64 and by 1.1 at degree 100
+    # under Weyl, and its whole pair table peaked at 1036 MiB at degree 100
+    F = SymbolDescriptor(1, lambda z, zeta: np.exp(-0.25 * zeta[:, 0] ** 2),
+                         name="one-site")
+    basis = HermiteBasis(1, H, degree)
+    peak, M = _peak_and_matrix(method, F, basis)
+    ref = method(_ONE_SITE_GAUSSIAN, basis)
+    assert M.meta["route"] == "dense" and M.meta["order"] == degree + 64
+    assert peak < 1 << 30
+    assert np.abs(M.entries - ref.entries).max() <= 1e-12 * np.abs(ref.entries).max()
+
+
+def test_chain_frequency_band_beyond_the_z_rule_is_harmless(monkeypatch):
+    # the z rule resolves frequencies to nmax + 6 only; site-table entries
+    # past that band are inexact by design, and must reach no matrix entry
+    # through the bonds: resolving every frequency changes nothing
+    F = make_lattice(LatticeSymbolParams(d=1, g=(3.0, 3.0, 3.0), t=1.0, V="cos"), 2)
+    assert F.chain.nmax == 38
+    basis = HermiteBasis(3, H, 12)
+    monkeypatch.setattr(quantize, "_SITE_TABLE_CACHE", {})
+    base = [weyl_matrix(F, basis), antiwick_matrix(F, basis)]
+    monkeypatch.setattr(quantize, "_SITE_Z_BASE", quantize._SITE_Z_BASE + 300)
+    monkeypatch.setattr(quantize, "_SITE_TABLE_CACHE", {})
+    for M, method in zip(base, [weyl_matrix, antiwick_matrix]):
+        ref = method(F, basis)
+        assert ref.meta["order"] == M.meta["order"] + 300
+        assert np.abs(M.entries - ref.entries).max() <= 1e-12 * np.abs(ref.entries).max()
 
 
 def test_chain_route_node_budget(monkeypatch):
@@ -553,14 +614,14 @@ def test_chain_site_table_cache_is_bounded(monkeypatch):
     data = make_lattice(LatticeSymbolParams(d=1, g=(0.3, 0.2), t=0.5, V="cos"),
                         2).chain
     first = q._chain_site_table(data.site[0], "weyl", H, 1, data.mrange,
-                                data.nmax, None)
+                                data.nmax)
     for deg in (2, 3):
         q._chain_site_table(data.site[0], "weyl", H, deg, data.mrange,
-                            data.nmax, None)
+                            data.nmax)
     assert len(q._SITE_TABLE_CACHE) == 2
     assert sorted(key[3] for key in q._SITE_TABLE_CACHE) == [2, 3]
     again = q._chain_site_table(data.site[0], "weyl", H, 1, data.mrange,
-                                data.nmax, None)
+                                data.nmax)
     assert np.array_equal(again, first)
 
 
@@ -589,7 +650,7 @@ def _reference_chain(F, basis, modes):
     # 4-site lattice from the complex site tables
     data, deg = F.chain, basis.max_degree
     U = [quantize._chain_site_table(data.site[j], modes[j], basis.h, deg,
-                                    data.mrange, data.nmax, None) for j in range(4)]
+                                    data.mrange, data.nmax) for j in range(4)]
     ns = np.arange(-data.nmax, data.nmax + 1)
     diff = ns[None, :] - ns[:, None] + data.mrange
     a0, a1, a2 = (np.asarray(c, dtype=complex) for c in data.bond_c)
