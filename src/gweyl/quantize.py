@@ -88,7 +88,12 @@ that grid the midpoints (x+y)/2 and the differences x-y each take 2nx - 1
 lattice values, so the xi-integral is one matrix product of F on the
 (midpoint, xi) lattice against exp(i xi (x-y) / h) on the (xi, difference)
 lattice, read back at (i+j, i-j): O(nx nxi) symbol values and phases instead
-of nx^2 nxi.
+of nx^2 nxi, and a (2nx - 1) x nxi x (2nx - 1) product.  A K-atom Fourier
+measure (F = 1 of the resolution check included) is a rank-K function on
+that lattice, sum_k c_k e^{i a_k mid} e^{i b_k xi}, so it is taken one axis
+at a time: K (2nx - 1 + nxi) exponentials and a K-row product, the rows
+first.  Generic symbols keep the full lattice; ``meta`` records the route,
+"atoms" (with the atom count) or "dense".
 
 The truncation ladder runs over an increasing coordinate family Lambda_n.
 Per coordinate anti-Wick(G) = Weyl(H_{h/2} G), and G = sum_{I subset of
@@ -133,7 +138,7 @@ from .hermite import (
     MAX_STABLE_DEGREE, FunctionRep, HermiteBasis, coherent_state,
     complex_from_pairs, dumps_with_pairs, gamma_map, write_csv,
 )
-from .symbols import SymbolDescriptor, make_fourier_measure
+from .symbols import SymbolDescriptor, make_constant, make_fourier_measure
 
 # flipped by the mutation fixtures in the test suite; any value other than
 # +1.0 corrupts the symmetric-kernel sign and must trip the oracle checks
@@ -608,14 +613,23 @@ def _classical_1d(F, basis: HermiteBasis, xs, wx, xis, wxi) -> np.ndarray:
     # indexed by i - j + nx - 1.  The xi-quadrature of the kernel is then one
     # product G = (F(mids, xi) w_xi) @ exp(i xi diffs / h), and the kernel is
     # the gather M1[i, j] = G[i + j, i - j + nx - 1].  gb[k, i] = (gamma e_k)(x_i).
+    # A Fourier measure is a rank-K function on the (mids, xi) lattice,
+    # F = (e^{i a mids} c) (e^{i b xi}), so G is taken through its K rows.
     h, nx = basis.h, xs.size
     gb = gamma_map(basis.eval_table, xs[:, None], h)
     mids = np.linspace(xs[0], xs[-1], 2 * nx - 1)
     diffs = (xs[1] - xs[0]) * np.arange(1 - nx, nx)
-    z = np.repeat(mids, xis.size)[:, None]
-    zeta = np.tile(xis, mids.size)[:, None]
-    fv = F(z, zeta).reshape(mids.size, xis.size)
-    G = (fv * wxi[None, :]) @ np.exp(1j * xis[:, None] * diffs[None, :] / h)
+    phase = np.exp(1j * xis[:, None] * diffs[None, :] / h)
+    if F.atoms is not None:
+        c, a, b = (np.array(v) for v in zip(*F.atoms))
+        Wz = np.exp(1j * np.outer(mids, a[:, 0])) * c
+        Wxi = np.exp(1j * np.outer(b[:, 0], xis)) * wxi
+        G = Wz @ (Wxi @ phase)
+    else:
+        z = np.repeat(mids, xis.size)[:, None]
+        zeta = np.tile(xis, mids.size)[:, None]
+        fv = F(z, zeta).reshape(mids.size, xis.size)
+        G = (fv * wxi[None, :]) @ phase
     i = np.arange(nx)
     M1 = G[i[:, None] + i[None, :], i[:, None] - i[None, :] + nx - 1]
     gw = gb * wx[None, :]
@@ -650,9 +664,7 @@ def weyl_matrix_classical(F: SymbolDescriptor, basis: HermiteBasis,
         key = (basis.dim, basis.h, basis.max_degree, xs.size, xis.size,
                round(float(xs[-1]), 9), round(float(xis[-1]), 9))
         if key not in _DIAG_CACHE:
-            one = SymbolDescriptor(1, lambda z, zeta: np.ones(z.shape[0], complex),
-                                   name="1")
-            ident = _classical_1d(one, basis, xs, wx, xis, wxi)
+            ident = _classical_1d(make_constant(1.0, 1), basis, xs, wx, xis, wxi)
             resid = float(np.max(np.abs(ident - np.eye(basis.size))))
             _DIAG_CACHE[key] = resid
             if len(_DIAG_CACHE) > _DIAG_CACHE_CAP:
@@ -667,6 +679,10 @@ def weyl_matrix_classical(F: SymbolDescriptor, basis: HermiteBasis,
         meta = {"symbol": F.name, "method": "weyl-classical", "h": basis.h,
                 "grid": [int(xs.size), int(xis.size)],
                 "identity_residual": resid}
+        if F.atoms is not None:
+            meta.update(route="atoms", atoms=len(F.atoms))
+        else:
+            meta.update(route="dense")
         return OperatorMatrix(basis, entries, meta)
     if d == 2 and F.atoms is not None:
         b1 = HermiteBasis(1, basis.h, basis.max_degree)
@@ -675,7 +691,8 @@ def weyl_matrix_classical(F: SymbolDescriptor, basis: HermiteBasis,
             b1, oversample).entries for _, a, b in F.atoms] for j in range(2)]
         entries = _kron_sum([c for c, _, _ in F.atoms],
                             [np.stack(f, axis=-1) for f in factors])
-        meta = {"symbol": F.name, "method": "weyl-classical", "h": basis.h}
+        meta = {"symbol": F.name, "method": "weyl-classical", "h": basis.h,
+                "route": "atoms", "atoms": len(F.atoms)}
         return OperatorMatrix(basis, entries, meta)
     raise ResourceError(
         "classical-kernel oracle supports dim 1, or dim 2 Fourier-atom symbols"

@@ -309,6 +309,8 @@ def test_classical_method_via_cli(tmp_path):
     op = json.loads((tmp_path / "cl2" / "operator.json").read_text())
     ent = np.array([complex(re, im) for re, im in op["entries"]]).reshape(6, 6)
     assert np.abs(ent - np.eye(6)).max() < 1e-6
+    summary = json.loads((tmp_path / "cl2" / "summary.json").read_text())
+    assert (summary["route"], summary["atoms"]) == ("atoms", 1)
 
 
 def _capped_lattice_converge(tmp_path, monkeypatch, ladder):

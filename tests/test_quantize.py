@@ -139,6 +139,7 @@ def test_classical_linear_symbol_is_multiplier_plus_derivative():
         name="linear", growth="polynomial", poly_degree=1,
     )
     M = weyl_matrix_classical(lin, basis)
+    assert M.meta["route"] == "dense" and "atoms" not in M.meta
     v = h / 2
     n = basis.size
     want = np.zeros((n, n), complex)
@@ -196,7 +197,12 @@ def test_classical_factored_kernel_matches_xi_loop(rng):
                                   - 0.5 * zeta[:, 0] ** 2 + 0.7j * z[:, 0]),
         name="quadratic",
     )
-    for F in (random_trig_symbol(rng, positive=False), quad):
+    # complex weights with nonzero a and b: the per-axis factors of a measure
+    # against F evaluated point by point in the reference
+    complex_atoms = make_fourier_measure([
+        (complex(*rng.normal(size=2)), rng.uniform(-1.5, 1.5, 1),
+         rng.uniform(-1.5, 1.5, 1)) for _ in range(5)])
+    for F in (random_trig_symbol(rng, positive=False), complex_atoms, quad):
         got = _classical_1d(F, basis, xs, wx, xis, wxi)
         want = _classical_1d_xi_loop(F, basis, xs, wx, xis, wxi)
         assert np.abs(got - want).max() < 1e-12
@@ -208,6 +214,7 @@ def test_classical_matches_weyl_at_degree_16():
     Mc = weyl_matrix_classical(F, basis)
     Mw = weyl_matrix(F, basis)
     assert np.abs(Mc.entries - Mw.entries).max() < 1e-10
+    assert (Mc.meta["route"], Mc.meta["atoms"]) == ("atoms", 1)
 
 
 def test_classical_identity_cache_is_bounded(monkeypatch):
@@ -241,6 +248,7 @@ def test_classical_dim2_atoms_kron():
     Mc = weyl_matrix_classical(F, basis)
     Mw = weyl_matrix(F, basis)
     assert np.abs(Mc.entries - Mw.entries).max() < 1e-4
+    assert (Mc.meta["route"], Mc.meta["atoms"]) == ("atoms", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1143,21 +1151,31 @@ def test_ladder_report_ratios_and_vacuous_flag():
     assert const.bound_ratios == [None] and not const.vacuous_bound
 
 
-@pytest.mark.parametrize("case", ["lattice-4site", "exp-small-freq"])
+@pytest.mark.parametrize("case", ["lattice-4site", "lattice-two-step", "exp-small-freq"])
 def test_ladder_diff_bound_is_fresh_subset_sum(case):
     # each rung difference is bounded by the sum over the fresh subsets I of
     # M prod_{j in I} x_j; with frequencies near 1e-4 the x_j are ~1e-6 and
-    # the subtraction cv_n - cv_{n-1} misses this sum by ~5e-11 relative
-    if case == "lattice-4site":   # criterion 03's lattice
-        g = tuple(0.5 * 0.7**j for j in range(4))
-        F = make_lattice(LatticeSymbolParams(d=1, g=g, t=1.0, V="cos"), 2)
-        ladder = IndexLadder(4, ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3)))
-    else:
+    # the subtraction cv_n - cv_{n-1} misses this sum by ~5e-11 relative.
+    # A step that adds two coordinates has the fresh subset {j, k}, so its
+    # bound is not the sum of the fresh x_j.  Each rung's tail is the sum of
+    # eps_j^2 over the coordinates outside it.
+    if case == "exp-small-freq":
         F = make_exponential([1e-4, -2e-5, 3e-5], [2e-5, 1e-4, -4e-5])
         ladder = IndexLadder(3, ((2,), (0, 2), (0, 1, 2)))
+    else:   # criterion 03's lattice
+        g = tuple(0.5 * 0.7**j for j in range(4))
+        F = make_lattice(LatticeSymbolParams(d=1, g=g, t=1.0, V="cos"), 2)
+        steps = (((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3)) if case == "lattice-4site"
+                 else ((0,), (0, 1, 2), (0, 1, 2, 3)))
+        ladder = IndexLadder(4, steps)
     dim = ladder.ambient_dim
     rep = ladder_run(F, ladder, HermiteBasis(dim, H, 1))
     M, eps = F.class_M, np.asarray(F.class_eps, dtype=float)
+    tails = [sum(eps[j] ** 2 for j in range(dim) if j not in lam)
+             for lam in ladder.subsets]
+    if case == "exp-small-freq":   # eps = (1e-4, 1e-4, 4e-5)
+        assert tails == pytest.approx([2e-8, 1e-8, 0.0], rel=1e-12, abs=0.0)
+    assert [s.tail for s in rep.steps] == pytest.approx(tails, rel=1e-12, abs=0.0)
     S = max(1.0, float(np.max(eps**2)))
     x = [81.0 * math.pi * H * S * e**2 for e in eps]
     for step, prev, lam in zip(rep.steps[1:], ladder.subsets, ladder.subsets[1:]):
