@@ -23,26 +23,25 @@ Fourier-measure symbols assemble in closed form at any dimension and degree;
 all atoms are contracted in one matrix product over the atom axis.
 
 A Gaussian symbol amp exp(-<A X, X>) is amp E e^{i omega.X} with omega =
-(a | b) ~ N(0, Sigma), Sigma = 2A, and is assembled as a finite mixture of
-such atoms, exactly at the truncation degree.  Per coordinate an atom's
-matrix is a polynomial of degree <= 2 deg in (a_j, b_j) times
-exp(-kappa_j (a_j^2 + b_j^2)), kappa_j = v_j / 2 (h/4 on "weyl", h/2 on
-"aw").  With Sigma = L L^T (rank r, from the eigendecomposition, so a
-singular form works), C = diag(kappa, kappa) and K = I + 2 L^T C L, the
-Gaussian factor folds into the measure:
+(a | b) ~ N(0, Sigma), Sigma = 2A.  An atom's matrix on a coordinate of
+variance v has, with r = sqrt(h/2), the generating function
 
-    M = det(K)^(-1/2) E_eta [ P(L K^(-1/2) eta) ],   eta ~ N(0, I_r),
+    sum M[k, l] s^k t^l / sqrt(k! l!)
+        = exp(-(v/2)(a^2 + b^2) + i r a (s + t) + r b (t - s) + s t).
 
-with P the polynomial part, of total degree <= 2 deg D in eta.  The
-order-q Gauss-Hermite tensor rule with q = deg D + 1 is exact for it, so the
-mixture has nodes omega_n = L K^(-1/2) eta_n and weights c_n = w_n
-det(K)^(-1/2) exp(omega_n^T C omega_n), formed in log space
-(omega_n^T C omega_n <= |eta_n|^2 / 2).  No phase-space grid is built.  The
-rule's nodes pair as +-eta with equal weights, and per coordinate
-W[k, l](-s) = (-1)^(k+l) W[k, l](s), so a pair's two atoms agree where
-|k| + |l| is even and cancel where it is odd: one atom per pair is assembled
-with its weight doubled (an odd rule's centre node once), and the
-parity-odd block is set to exactly 0.
+With u = (s | t), the linear part omega^T B u and C = diag(kappa, kappa),
+kappa = v / 2, the average over omega is C_0 exp(u^T R u / 2): K = I +
+2 Sigma C, C_0 = amp det(K)^(-1/2), R = J + B^T K^(-1) Sigma B, J pairing s_j
+with t_j (a singular Sigma needs no special case).  The table N_gamma =
+sqrt(gamma!) [u^gamma] of it, which is the matrix, satisfies
+
+    sqrt(gamma_i + 1) N_{gamma + e_i} = sum_j R_ij sqrt(gamma_j) N_{gamma - e_j},
+
+Mehler's formula in general form and the recurrence of Fock amplitudes of
+Gaussian states (Miatto and Quesada, Quantum 4, 366, 2020).  It is filled
+from N_0 = C_0 one axis of u at a time, exactly and with no nodes.  The
+exponential is even, so its odd-degree coefficients, the parity-odd block
+(|k| + |l| odd), are sums of zeros: exactly 0.
 
 Nearest-neighbour chain symbols assemble from per-site quadrature tables at
 any dimension; generic symbols use a dense tensor grid (dim <= 2).  Each
@@ -292,8 +291,6 @@ def _grown_order(base: int, deg: int) -> int:
 # ---------------------------------------------------------------------------
 
 _ATOM_CHUNK_BYTES = 1 << 27   # tables held at once by the atom, dense and chain routes
-_RANK_TOL = 1e-13     # covariance eigenvalues below this share of the top are 0
-_MIXTURE_WORK = 4096  # Gaussian route: nodes * n^2 may not pass this * max_nodes()
 
 
 def _assemble_dense(F: SymbolDescriptor, basis: HermiteBasis, modes, order: int):
@@ -374,44 +371,35 @@ def _kron_sum(c, factors) -> np.ndarray:
     return out.reshape(p, q, r, s).transpose(0, 2, 1, 3).reshape(p * r, q * s)
 
 
-def _gaussian_mixture(quad, basis: HermiteBasis, modes):
-    """Atoms (c, a, b) and the rule's node count for amp exp(-<A X, X>).
-
-    The nodes come in pairs +-eta with equal weights, and the atoms of a
-    pair agree on the parity-even block and cancel on the odd one, so one
-    node of each pair is returned with its weight doubled (the centre node,
-    for an odd count, once): the mixture's parity-even block is the matrix,
-    exactly at the truncation degree; see the module docstring.
-    """
+def _gaussian_table(quad, basis: HermiteBasis, modes) -> np.ndarray:
+    """amp exp(-<A X, X>) by the generating-function recurrence (module docstring)."""
     amp, A = quad
-    D, h, deg = basis.dim, basis.h, basis.max_degree
+    D, h, d = basis.dim, basis.h, basis.max_degree + 1
     kappa = np.tile([0.5 * _mode_variance(m, h) for m in modes], 2)
-    lam, V = np.linalg.eigh(2.0 * A)
-    keep = lam > _RANK_TOL * lam.max() if lam.max() > 0 else lam > 0
-    L = V[:, keep] * np.sqrt(lam[keep])
-    r = L.shape[1]
-    kl, kv = np.linalg.eigh(np.eye(r) + 2.0 * (L.T * kappa) @ L)
-    G = L @ (kv / np.sqrt(kl))        # G G^T = L K^{-1} L^T
-    q = deg * D + 1
-    d = deg + 1
-    if q**r > max_nodes() or q**r * d ** (2 * D) > _MIXTURE_WORK * max_nodes():
-        raise ResourceError(
-            f"Gaussian symbol needs {q}^{r} nodes at degree {deg} in dim {D}, "
-            f"over the budget (GW_MAX_NODES)"
-        )
-    x, w = gauss_hermite_1d(q, 1.0)
-    eta, logw = np.zeros((1, 0)), np.zeros(1)
-    for _ in range(r):
-        eta = np.hstack([np.repeat(eta, q, axis=0), np.tile(x, eta.shape[0])[:, None]])
-        logw = (logw[:, None] + np.log(w)[None, :]).ravel()
-    # the rule is symmetric, node N-1-i is -(node i) for N = q^r nodes, and
-    # for odd N the centre node N // 2 counts once
-    N = eta.shape[0]
-    half = (N + 1) // 2
-    fold = np.where(np.arange(half) == N // 2, 1.0, 2.0)
-    omega = eta[:half] @ G.T
-    c = amp * fold * np.exp(logw[:half] + omega**2 @ kappa - 0.5 * np.sum(np.log(kl)))
-    return c, omega[:, :D], omega[:, D:], N
+    I, O = np.eye(D), np.zeros((D, D))
+    B = math.sqrt(0.5 * h) * np.block([[1j * I, 1j * I], [-I, I]])
+    Sigma = 2.0 * A
+    K = np.eye(2 * D) + 2.0 * Sigma * kappa
+    S = np.linalg.solve(K, Sigma)
+    R = np.block([[O, I], [I, O]]) + B.T @ (0.5 * (S + S.T)) @ B
+    N = np.zeros((d,) * (2 * D), dtype=complex)
+    N[(0,) * (2 * D)] = amp / math.sqrt(np.linalg.det(K))
+    root = np.sqrt(np.arange(d))
+    for i in range(2 * D):
+        # axis i with the later axes at 0, so only R[i, :i + 1] reaches it
+        P = N[(slice(None),) * (i + 1) + (0,) * (2 * D - 1 - i)]
+        for n in range(d - 1):
+            nxt = P[..., n + 1]
+            if n:
+                nxt += R[i, i] * root[n] * P[..., n - 1]
+            for j in range(i):
+                # sqrt(gamma_j) N_{gamma - e_j}: layer n shifted up along axis j
+                below = (slice(None),) * j + (slice(None, -1),)
+                above = (slice(None),) * j + (slice(1, None),)
+                w = root[1:].reshape((-1,) + (1,) * (i - 1 - j))
+                nxt[above] += R[i, j] * w * P[..., n][below]
+            nxt /= root[n + 1]
+    return N.reshape(d ** D, d ** D)
 
 
 _SITE_TABLE_CACHE = {}     # per-site tables, oldest evicted first
@@ -507,7 +495,7 @@ def _assemble_chain(F: SymbolDescriptor, basis: HermiteBasis, modes):
     return M, q
 
 
-ROUTE_KEYS = ("route", "atoms", "nodes", "order")   # hybrid_matrix's route record
+ROUTE_KEYS = ("route", "atoms", "order")   # hybrid_matrix's route record
 
 
 def hybrid_matrix(F: SymbolDescriptor, split: CoordinateSplit,
@@ -520,8 +508,8 @@ def hybrid_matrix(F: SymbolDescriptor, split: CoordinateSplit,
     (dim <= 2) of 80 (dim 1) or 48 (dim 2) nodes per variable.  Both orders
     grow by one node per degree above 16, and the dense grid is contracted a
     block of first-coordinate nodes at a time under a fixed memory budget.
-    ``meta`` records the route and its size: the atom or node count, or the
-    largest z or grid order used.
+    ``meta`` records the route and its size: the atom count, or the largest z
+    or grid order used (the Gaussian route has none).
     """
     if split.ambient_dim != basis.dim or F.dim != basis.dim:
         raise InputError("symbol, split and basis dimensions must agree")
@@ -536,10 +524,8 @@ def hybrid_matrix(F: SymbolDescriptor, split: CoordinateSplit,
         M, q = _assemble_chain(F, basis, modes)
         meta.update(route="chain", order=q)
     elif F.quad is not None:
-        c, a, b, nodes = _gaussian_mixture(F.quad, basis, modes)
-        M = _assemble_atoms(c, a, b, basis, modes)
-        M[_parity_odd(basis)] = 0.0
-        meta.update(route="gaussian", nodes=nodes)
+        M = _gaussian_table(F.quad, basis, modes)
+        meta.update(route="gaussian")
     else:
         q = _grown_order(80 if basis.dim == 1 else 48, basis.max_degree)
         M = _assemble_dense(F, basis, modes, q)

@@ -261,6 +261,10 @@ def _mehler_diagonal(amp, t, h, degree):
     return amp / (1 + th) * ((1 - th) / (1 + th)) ** np.arange(degree + 1)
 
 
+def _odd_block(M, basis):
+    return M[quantize._parity_odd(basis)]
+
+
 @pytest.mark.parametrize("degree", [16, 64, 100])
 def test_gaussian_route_matches_mehler(degree):
     # anti-Wick of e^{-t|X|^2} is Weyl of its half-heat smoothing,
@@ -278,12 +282,13 @@ def test_gaussian_route_matches_mehler(degree):
     finally:
         tracemalloc.stop()
     assert W.meta["route"] == A.meta["route"] == "gaussian"
-    assert W.meta["nodes"] == (degree + 1) ** 2
+    assert "nodes" not in W.meta and "nodes" not in A.meta
     assert peak < 1 << 30
     amp = 1.0 / (1.0 + t * H)
     for M, want in ((W, _mehler_diagonal(1.0, t, H, degree)),
                     (A, _mehler_diagonal(amp, t * amp, H, degree))):
         assert np.abs(M.entries - np.diag(want)).max() < 1e-12
+        assert not _odd_block(M.entries, basis).any()
 
 
 def _random_psd(rng, n):
@@ -301,66 +306,108 @@ def test_gaussian_route_matches_dense_dim2(selected):
     M = hybrid_matrix(F, CoordinateSplit(2, selected), basis)
     modes = ["weyl" if j in selected else "aw" for j in range(2)]
     want = _assemble_dense(F, basis, modes, 72)
-    assert M.meta["route"] == "gaussian" and M.meta["nodes"] == 7**4
+    assert M.meta["route"] == "gaussian" and "nodes" not in M.meta
     assert np.abs(M.entries - want).max() < 1e-13
+    assert not _odd_block(M.entries, basis).any()
 
 
 def test_gaussian_route_degenerate_forms():
     from gweyl.quantize import _assemble_dense
 
-    # T = 0: the identity from a single node
+    # T = 0: R pairs s with t only, so the recurrence writes the identity
     I = weyl_matrix(make_quadratic(np.zeros((2, 2)), 1.0), HermiteBasis(1, H, 6))
-    assert I.meta["nodes"] == 1
-    assert np.abs(I.entries - np.eye(7)).max() < 1e-15
-    # rank 1 in dim 1: F = e^{-z^2}, 7 nodes at degree 6
+    assert "nodes" not in I.meta
+    assert np.array_equal(I.entries, np.eye(7))
+    # rank 1 in dim 1: F = e^{-z^2}
     F = make_quadratic(np.diag([1.0, 0.0]), 1.0)
     basis = HermiteBasis(1, H, 6)
     M = weyl_matrix(F, basis)
-    assert M.meta["nodes"] == 7
+    assert "nodes" not in M.meta
     want = _assemble_dense(F, basis, ["weyl"], 120)
     assert np.abs(M.entries - want).max() < 1e-13
+    assert not _odd_block(M.entries, basis).any()
     # rank 2 in dim 2, on coordinate 0 only: Op(F) = Op_1(F_1) (x) I
     F2 = make_quadratic(np.diag([1.0, 0.0, 0.5, 0.0]), 0.7)
     F1 = make_quadratic(np.diag([1.0, 0.5]), 0.7)
     b2, b1 = HermiteBasis(2, H, 4), HermiteBasis(1, H, 4)
     M2 = hybrid_matrix(F2, CoordinateSplit(2, (1,)), b2)
-    assert M2.meta["nodes"] == 9**2
+    assert "nodes" not in M2.meta
     want = np.kron(antiwick_matrix(F1, b1).entries, np.eye(5))
     assert np.abs(M2.entries - want).max() < 1e-14
+    assert not _odd_block(M2.entries, b2).any()
 
 
-def test_gaussian_route_folds_the_node_pairs():
-    # nodes pair as +-eta with equal weights: one atom per pair with its
-    # weight doubled, the centre once, and a parity-odd block of exact zeros
-    from gweyl.quantize import _assemble_atoms, _gaussian_mixture
+@pytest.mark.parametrize("method", [weyl_matrix, antiwick_matrix])
+def test_gaussian_route_coupled_form_matches_dense(method):
+    # a z-zeta coupling makes R's off-diagonal blocks depend on the sign of
+    # the zeta part of the atoms' exponent, which a diagonal form cannot see
+    from gweyl.quantize import _assemble_dense
 
-    F = make_quadratic(_random_psd(np.random.default_rng(5), 4), 0.5)
-    basis = HermiteBasis(2, H, 3)
-    modes = ["weyl", "aw"]
-    c, a, b, nodes = _gaussian_mixture(F.quad, basis, modes)
-    assert nodes == 7**4 and c.size == (7**4 + 1) // 2
-    assert np.abs(np.r_[a[-1], b[-1]]).max() < 1e-15     # the centre node
-    M = hybrid_matrix(F, CoordinateSplit(2, (0,)), basis).entries
-    p = basis.indices.sum(axis=1) % 2
-    assert not M[p[:, None] != p[None, :]].any()
-    w = c / np.r_[np.full(c.size - 1, 2.0), 1.0]
-    full = _assemble_atoms(np.r_[w, w[:-1]], np.r_[a, -a[:-1]], np.r_[b, -b[:-1]],
-                           basis, modes)
-    assert np.abs(full - M).max() < 1e-14
+    F = make_quadratic(np.array([[1.0, 0.4], [0.4, 0.8]]), 0.5)
+    basis = HermiteBasis(1, H, 8)
+    M = method(F, basis)
+    mode = "weyl" if method is weyl_matrix else "aw"
+    want = _assemble_dense(F, basis, [mode], 120)
+    assert M.meta["route"] == "gaussian"
+    assert np.abs(want.imag).max() > 1e-2
+    assert np.abs(M.entries - want).max() < 1e-13
 
 
-def test_gaussian_route_node_budget(monkeypatch):
-    # (2 deg + 1)^4 nodes in dim 2, each a 2-coordinate table; past the
-    # budget the route raises before building anything
-    from gweyl.errors import ResourceError
+def test_gaussian_route_matches_dense_dim2_degree_20():
+    # the dense grid at order 72 resolves this symbol to about 1e-15
+    from gweyl.quantize import _assemble_dense
 
     F = make_quadratic(_random_psd(np.random.default_rng(5), 4), 0.5)
-    with pytest.raises(ResourceError):
-        weyl_matrix(F, HermiteBasis(2, H, 14))
-    assert weyl_matrix(F, HermiteBasis(2, H, 3)).meta["nodes"] == 7**4
-    monkeypatch.setenv("GW_MAX_NODES", "2000")
-    with pytest.raises(ResourceError):
-        weyl_matrix(F, HermiteBasis(2, H, 3))
+    basis = HermiteBasis(2, H, 20)
+    M = hybrid_matrix(F, CoordinateSplit(2, (1,)), basis)
+    want = _assemble_dense(F, basis, ["aw", "weyl"], 72)
+    assert M.meta["route"] == "gaussian"
+    assert np.abs(M.entries - want).max() < 1e-13
+
+
+def _separable_diagonal(lam, t, selected, degree):
+    # per coordinate the Mehler diagonal, half-heat smoothed off the block
+    out = np.ones(1)
+    for j, lj in enumerate(lam):
+        if j in selected:
+            w = _mehler_diagonal(1.0, t * lj, H, degree)
+        else:
+            amp = 1.0 / (1.0 + t * lj * H)
+            w = _mehler_diagonal(amp, t * lj * amp, H, degree)
+        out = np.kron(out, w)
+    return out
+
+
+@pytest.mark.parametrize("lam, degree", [((0.4, 1.0, 0.7), 5),
+                                         ((0.4, 1.0, 0.7, 0.25), 4)])
+@pytest.mark.parametrize("split", ["weyl", "antiwick", "mixed"])
+def test_gaussian_route_separable_forms_in_dims_3_and_4(lam, degree, split):
+    D, t = len(lam), 0.3
+    selected = {"weyl": tuple(range(D)), "antiwick": (), "mixed": (0, 2)}[split]
+    F = make_quadratic(np.diag(np.tile(lam, 2)), t)
+    basis = HermiteBasis(D, H, degree)
+    M = hybrid_matrix(F, CoordinateSplit(D, selected), basis)
+    want = np.diag(_separable_diagonal(lam, t, selected, degree))
+    assert M.meta["route"] == "gaussian"
+    assert np.abs(M.entries - want).max() < 1e-14
+
+
+def test_gaussian_route_block_diagonal_form_dim3():
+    # coordinates 0 and 1 coupled, coordinate 2 apart: the hybrid matrix is
+    # the Kronecker product of the blocks' own hybrid matrices
+    Ta = _random_psd(np.random.default_rng(8), 4)     # (z0, z1, zeta0, zeta1)
+    Tb = np.array([[0.9, 0.3], [0.3, 0.6]])            # (z2, zeta2)
+    T = np.zeros((6, 6))
+    T[np.ix_([0, 1, 3, 4], [0, 1, 3, 4])] = Ta
+    T[np.ix_([2, 5], [2, 5])] = Tb
+    t = 0.6
+    M = hybrid_matrix(make_quadratic(T, t), CoordinateSplit(3, (0, 2)),
+                      HermiteBasis(3, H, 4))
+    Ma = hybrid_matrix(make_quadratic(Ta, t), CoordinateSplit(2, (0,)),
+                       HermiteBasis(2, H, 4))
+    Mb = weyl_matrix(make_quadratic(Tb, t), HermiteBasis(1, H, 4))
+    assert M.meta["route"] == "gaussian"
+    assert np.abs(M.entries - np.kron(Ma.entries, Mb.entries)).max() < 1e-14
 
 
 def test_smoothed_gaussian_stays_closed_form():
@@ -380,16 +427,6 @@ def test_smoothed_gaussian_stays_closed_form():
     Q = _quadrature_smoothed(F, [1], H / 2, order=24)
     pts = np.random.default_rng(7).normal(size=(6, 4))
     assert np.abs(G(pts[:, :2], pts[:, 2:]) - Q(pts[:, :2], pts[:, 2:])).max() < 1e-13
-
-
-def test_table_sign_mutation_reaches_gaussian_route(monkeypatch):
-    # a z-zeta coupling makes the form odd under the flipped table sign
-    F = make_quadratic(np.array([[1.0, 0.4], [0.4, 0.8]]), 0.5)
-    basis = HermiteBasis(1, H, 8)
-    good = weyl_matrix(F, basis).entries
-    monkeypatch.setattr(quantize, "_MUTATE_TABLE_SIGN", -1.0)
-    bad = weyl_matrix(F, basis).entries
-    assert np.abs(bad - good).max() > 1e-2
 
 
 def test_hybrid_meta_records_route():

@@ -1,0 +1,109 @@
+"""Mutation check: every mutant of the library must fail its targeted tests.
+
+Each mutant is one text replacement in one file under ``src/``.  For each,
+the source tree is copied to a temporary directory, the replacement applied
+there, and the mutant's tests run against the copy (``PYTHONPATH`` points at
+it), so no mutation hook lives in the library.  The script exits 1 if a
+mutant's target text is missing or occurs more than once, if a mutant
+survives (its tests pass), or if the tests fail on the unmutated copy.  Run
+from anywhere:
+
+    python3 tools/mutants.py             # every mutant
+    python3 tools/mutants.py chain-sigma # the named ones
+
+Add a mutant with each new check.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# name: (file under src/gweyl, target text, replacement, tests)
+MUTANTS = {
+    "gaussian-b-sign": (
+        "quantize.py",
+        "np.block([[1j * I, 1j * I], [-I, I]])",
+        "np.block([[1j * I, 1j * I], [I, -I]])",
+        ["tests/test_quantize.py::test_gaussian_route_coupled_form_matches_dense"],
+    ),
+    "tail-without-square": (
+        "quantize.py",
+        "if j not in lam]] ** 2))",
+        "if j not in lam]]))",
+        ["tests/test_quantize.py::test_ladder_diff_bound_is_fresh_subset_sum"],
+    ),
+    "diff-bound-fresh-sum": (
+        "quantize.py",
+        "steps[-1].cv_bound * math.expm1(np.sum(np.log1p(x[fresh])))",
+        "steps[-1].cv_bound * np.sum(x[fresh])",
+        ["tests/test_quantize.py::test_ladder_diff_bound_is_fresh_subset_sum"],
+    ),
+    "chain-sigma": (
+        "quantize.py",
+        "sigma = 1.0 - 2.0 * (basis.indices.sum(axis=1) // 2 % 2)",
+        "sigma = 1.0 - 0.0 * (basis.indices.sum(axis=1) // 2 % 2)",
+        ["tests/test_quantize.py::test_chain_route_matches_dense_route"],
+    ),
+    "atom-damping": (
+        "quantize.py",
+        "c = c * np.exp(-0.5 * (a**2 + b**2) @ v)",
+        "c = c * np.exp(-0.49 * (a**2 + b**2) @ v)",
+        ["tests/test_quantize.py::test_weyl_exponential_matches_oracle_at_high_degree"],
+    ),
+}
+
+
+def run_tests(tests, mutant=None) -> int:
+    """pytest's exit code for ``tests`` on a copy of src/, with ``mutant`` applied.
+
+    A target text that is not in its file exactly once gives -1.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        if mutant is not None:
+            path, target, replacement, _ = mutant
+            source = src / "gweyl" / path
+            text = source.read_text()
+            if text.count(target) != 1:
+                return -1
+            source.write_text(text.replace(target, replacement))
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             *tests], cwd=ROOT, env=env, capture_output=True, text=True)
+    if proc.returncode not in (0, 1):
+        print(proc.stdout[-2000:])
+    return proc.returncode
+
+
+def main(argv) -> int:
+    names = argv or list(MUTANTS)
+    unknown = [n for n in names if n not in MUTANTS]
+    if unknown:
+        print(f"unknown mutants: {unknown}; known: {list(MUTANTS)}")
+        return 2
+    tests = sorted({t for n in names for t in MUTANTS[n][3]})
+    code = run_tests(tests)
+    print(f"unmutated: pytest exited {code}", flush=True)
+    if code != 0:
+        return 1
+    failed = 0
+    for name in names:
+        code = run_tests(MUTANTS[name][3], MUTANTS[name])
+        # exit 1: a test failed, so the mutant is killed
+        verdict = {-1: "target text not found exactly once", 0: "survived",
+                   1: "killed"}.get(code, f"pytest exited {code}")
+        print(f"{name}: {verdict}", flush=True)
+        failed += code != 1
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
