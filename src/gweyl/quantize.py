@@ -87,7 +87,12 @@ that grid the midpoints (x+y)/2 and the differences x-y each take 2nx - 1
 lattice values, so the xi-integral is one matrix product of F on the
 (midpoint, xi) lattice against exp(i xi (x-y) / h) on the (xi, difference)
 lattice, read back at (i+j, i-j): O(nx nxi) symbol values and phases instead
-of nx^2 nxi, and a (2nx - 1) x nxi x (2nx - 1) product.  A K-atom Fourier
+of nx^2 nxi, and a (2nx - 1) x nxi x (2nx - 1) product.  The phase table
+depends on the grid alone: with xi = m dxi and x - y = n dx it is E[|m n|],
+conjugated where m n < 0, for E[j] = exp(i dxi dx j / h), so it takes
+(nxi - 1)(nx - 1)/2 + 1 exponentials.  It is built once per grid, with the
+gamma-map table, and shared by the F = 1 check and the symbol (in dim 2, by
+every atom and coordinate on that grid).  A K-atom Fourier
 measure (F = 1 of the resolution check included) is a rank-K function on
 that lattice, sum_k c_k e^{i a_k mid} e^{i b_k xi}, so it is taken one axis
 at a time: K (2nx - 1 + nxi) exponentials and a K-row product, the rows
@@ -593,19 +598,43 @@ def _classical_grid(basis: HermiteBasis, shift: float, oversample: float):
         _simpson_weights(nxi, xis[1] - xis[0])
 
 
-def _classical_1d(F, basis: HermiteBasis, xs, wx, xis, wxi) -> np.ndarray:
+def _classical_tables(basis: HermiteBasis, xs, wx, xis):
+    # The tables of one grid, shared by its F = 1 check and every symbol on
+    # it: gw[k, i] = (gamma e_k)(x_i) wx_i, the phase exp(i xi diffs / h) on
+    # the (xi, difference) lattice, and the gather indices of _classical_1d.
+    # With xis = m dxi (|m| <= P) and diffs = n dx (|n| < nx) the phase is
+    # E[|m n|], conjugated where m n < 0, for E[j] = exp(i theta j) and
+    # theta = dxi dx / h: P (nx - 1) + 1 exponentials and one gather of the
+    # m, n >= 0 quarter, in place of nxi (2nx - 1).
+    h, nx, nxi = basis.h, xs.size, xis.size
+    P = (nxi - 1) // 2
+    dxi = (xis[-1] - xis[0]) / (nxi - 1)
+    if nxi % 2 == 0 or abs(xis[P]) > 1e-9 * dxi:
+        raise InputError("the classical-kernel xi grid must have odd length "
+                         "and be centred on 0")
+    theta = dxi * (xs[1] - xs[0]) / h
+    E = np.exp(1j * theta * np.arange(P * (nx - 1) + 1))
+    Q = E[np.arange(P + 1)[:, None] * np.arange(nx)[None, :]]
+    phase = np.empty((nxi, 2 * nx - 1), dtype=complex)
+    phase[P:, nx - 1:] = Q
+    phase[P:, :nx - 1] = Q[:, :0:-1].conj()
+    phase[:P] = phase[:P:-1, ::-1]      # phase[-m, -n] = phase[m, n]
+    i = np.arange(nx)
+    gw = gamma_map(basis.eval_table, xs[:, None], h) * wx[None, :]
+    return gw, phase, i[:, None] + i[None, :], i[:, None] - i[None, :] + nx - 1
+
+
+def _classical_1d(F, basis: HermiteBasis, xs, xis, wxi, tables) -> np.ndarray:
     # On the uniform grid xs the midpoints (x_i + x_j)/2 sit on a lattice of
     # 2nx - 1 points indexed by i + j, and the differences x_i - x_j on one
     # indexed by i - j + nx - 1.  The xi-quadrature of the kernel is then one
-    # product G = (F(mids, xi) w_xi) @ exp(i xi diffs / h), and the kernel is
-    # the gather M1[i, j] = G[i + j, i - j + nx - 1].  gb[k, i] = (gamma e_k)(x_i).
+    # product G = (F(mids, xi) w_xi) @ phase, with the grid's phase table
+    # exp(i xi diffs / h) from _classical_tables, and the kernel is the
+    # gather M1[i, j] = G[i + j, i - j + nx - 1].
     # A Fourier measure is a rank-K function on the (mids, xi) lattice,
     # F = (e^{i a mids} c) (e^{i b xi}), so G is taken through its K rows.
-    h, nx = basis.h, xs.size
-    gb = gamma_map(basis.eval_table, xs[:, None], h)
-    mids = np.linspace(xs[0], xs[-1], 2 * nx - 1)
-    diffs = (xs[1] - xs[0]) * np.arange(1 - nx, nx)
-    phase = np.exp(1j * xis[:, None] * diffs[None, :] / h)
+    gw, phase, rows, cols = tables
+    mids = np.linspace(xs[0], xs[-1], 2 * xs.size - 1)
     if F.atoms is not None:
         c, a, b = (np.array(v) for v in zip(*F.atoms))
         Wz = np.exp(1j * np.outer(mids, a[:, 0])) * c
@@ -616,15 +645,43 @@ def _classical_1d(F, basis: HermiteBasis, xs, wx, xis, wxi) -> np.ndarray:
         zeta = np.tile(xis, mids.size)[:, None]
         fv = F(z, zeta).reshape(mids.size, xis.size)
         G = (fv * wxi[None, :]) @ phase
-    i = np.arange(nx)
-    M1 = G[i[:, None] + i[None, :], i[:, None] - i[None, :] + nx - 1]
-    gw = gb * wx[None, :]
-    return (gw.conj() @ M1 @ gw.T) / (2.0 * math.pi * h)
+    return (gw.conj() @ G[rows, cols] @ gw.T) / (2.0 * math.pi * basis.h)
 
 
 _DIAG_CACHE = {}      # identity residual per grid, oldest evicted first
 _DIAG_CACHE_CAP = 16
 _DIAG_TOL = 5e-6      # largest identity residual on F = 1 the oracle accepts
+
+
+def _classical_shift(pairs, h: float) -> float:
+    # grid shift for frequencies (a, b): h max(|a|, |b|), rounded up to a
+    # multiple of 1/2 so that nearby symbols share a grid and its check
+    return 0.5 * math.ceil(2.0 * h * max(max(abs(a), abs(b)) for a, b in pairs))
+
+
+def _classical_setup(basis: HermiteBasis, shift: float, oversample: float):
+    """(xs, xis, wxi, tables, identity residual) of one dim-1 oracle grid.
+
+    Builds the grid's tables once and runs its F = 1 check on them, unless
+    ``_DIAG_CACHE`` holds the grid's residual; raises NumericalError when the
+    residual exceeds ``_DIAG_TOL``.
+    """
+    xs, wx, xis, wxi = _classical_grid(basis, shift, oversample)
+    tables = _classical_tables(basis, xs, wx, xis)
+    key = (basis.dim, basis.h, basis.max_degree, xs.size, xis.size,
+           round(float(xs[-1]), 9), round(float(xis[-1]), 9))
+    if key not in _DIAG_CACHE:
+        ident = _classical_1d(make_constant(1.0, 1), basis, xs, xis, wxi, tables)
+        _DIAG_CACHE[key] = float(np.max(np.abs(ident - np.eye(basis.size))))
+        if len(_DIAG_CACHE) > _DIAG_CACHE_CAP:
+            del _DIAG_CACHE[next(iter(_DIAG_CACHE))]
+    resid = _DIAG_CACHE[key]
+    if resid > _DIAG_TOL:
+        raise NumericalError(
+            f"classical-kernel resolution check failed: identity residual "
+            f"{resid:.3e} > {_DIAG_TOL:.1e} on grid {xs.size} x {xis.size}"
+        )
+    return xs, xis, wxi, tables, resid
 
 
 def weyl_matrix_classical(F: SymbolDescriptor, basis: HermiteBasis,
@@ -635,34 +692,18 @@ def weyl_matrix_classical(F: SymbolDescriptor, basis: HermiteBasis,
     aborts (NumericalError) when its residual exceeds 5e-6, i.e. when the
     resolution is insufficient.  dim 2 is available for Fourier-atom symbols
     only: each atom's 1-dim oracle matrices per coordinate, joined by the
-    same Kronecker sum as the closed-form atom assembly.
+    same Kronecker sum as the closed-form atom assembly; the atoms and
+    coordinates that share a grid share its tables and its F = 1 check.
     """
-    d = basis.dim
+    d, h = basis.dim, basis.h
     if d == 1:
         shift = 0.0
         if F.atoms is not None:
-            shift = max(
-                max(abs(float(b[0])), abs(float(a[0]))) * basis.h
-                for _, a, b in F.atoms
-            )
-        shift = 0.5 * math.ceil(2.0 * shift)  # quantized so grids cache-share
-        xs, wx, xis, wxi = _classical_grid(basis, shift, oversample)
-        key = (basis.dim, basis.h, basis.max_degree, xs.size, xis.size,
-               round(float(xs[-1]), 9), round(float(xis[-1]), 9))
-        if key not in _DIAG_CACHE:
-            ident = _classical_1d(make_constant(1.0, 1), basis, xs, wx, xis, wxi)
-            resid = float(np.max(np.abs(ident - np.eye(basis.size))))
-            _DIAG_CACHE[key] = resid
-            if len(_DIAG_CACHE) > _DIAG_CACHE_CAP:
-                del _DIAG_CACHE[next(iter(_DIAG_CACHE))]
-        resid = _DIAG_CACHE[key]
-        if resid > _DIAG_TOL:
-            raise NumericalError(
-                f"classical-kernel resolution check failed: identity residual "
-                f"{resid:.3e} > {_DIAG_TOL:.1e} on grid {xs.size} x {xis.size}"
-            )
-        entries = _classical_1d(F, basis, xs, wx, xis, wxi)
-        meta = {"symbol": F.name, "method": "weyl-classical", "h": basis.h,
+            shift = _classical_shift(
+                [(float(a[0]), float(b[0])) for _, a, b in F.atoms], h)
+        xs, xis, wxi, tables, resid = _classical_setup(basis, shift, oversample)
+        entries = _classical_1d(F, basis, xs, xis, wxi, tables)
+        meta = {"symbol": F.name, "method": "weyl-classical", "h": h,
                 "grid": [int(xs.size), int(xis.size)],
                 "identity_residual": resid}
         if F.atoms is not None:
@@ -671,13 +712,22 @@ def weyl_matrix_classical(F: SymbolDescriptor, basis: HermiteBasis,
             meta.update(route="dense")
         return OperatorMatrix(basis, entries, meta)
     if d == 2 and F.atoms is not None:
-        b1 = HermiteBasis(1, basis.h, basis.max_degree)
-        factors = [[weyl_matrix_classical(
-            make_fourier_measure([(1.0, a[j:j + 1], b[j:j + 1])], name="atom"),
-            b1, oversample).entries for _, a, b in F.atoms] for j in range(2)]
-        entries = _kron_sum([c for c, _, _ in F.atoms],
-                            [np.stack(f, axis=-1) for f in factors])
-        meta = {"symbol": F.name, "method": "weyl-classical", "h": basis.h,
+        b1 = HermiteBasis(1, h, basis.max_degree)
+        groups = {}       # grid shift -> [(atom, coordinate)]
+        for k, (_, a, b) in enumerate(F.atoms):
+            for j in range(2):
+                shift = _classical_shift([(float(a[j]), float(b[j]))], h)
+                groups.setdefault(shift, []).append((k, j))
+        factors = np.empty((2, b1.size, b1.size, len(F.atoms)), dtype=complex)
+        for shift, members in groups.items():
+            xs, xis, wxi, tables, _ = _classical_setup(b1, shift, oversample)
+            for k, j in members:
+                _, a, b = F.atoms[k]
+                atom = make_fourier_measure([(1.0, a[j:j + 1], b[j:j + 1])],
+                                            name="atom")
+                factors[j, ..., k] = _classical_1d(atom, b1, xs, xis, wxi, tables)
+        entries = _kron_sum([c for c, _, _ in F.atoms], list(factors))
+        meta = {"symbol": F.name, "method": "weyl-classical", "h": h,
                 "route": "atoms", "atoms": len(F.atoms)}
         return OperatorMatrix(basis, entries, meta)
     raise ResourceError(

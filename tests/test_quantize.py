@@ -186,7 +186,7 @@ def _classical_1d_xi_loop(F, basis, xs, wx, xis, wxi):
 
 
 def test_classical_factored_kernel_matches_xi_loop(rng):
-    from gweyl.quantize import _classical_1d, _simpson_weights
+    from gweyl.quantize import _classical_1d, _classical_tables, _simpson_weights
 
     basis = HermiteBasis(1, H, 6)
     xs, xis = np.linspace(-6.0, 6.0, 41), np.linspace(-5.0, 5.0, 61)
@@ -202,10 +202,33 @@ def test_classical_factored_kernel_matches_xi_loop(rng):
     complex_atoms = make_fourier_measure([
         (complex(*rng.normal(size=2)), rng.uniform(-1.5, 1.5, 1),
          rng.uniform(-1.5, 1.5, 1)) for _ in range(5)])
+    tables = _classical_tables(basis, xs, wx, xis)
     for F in (random_trig_symbol(rng, positive=False), complex_atoms, quad):
-        got = _classical_1d(F, basis, xs, wx, xis, wxi)
+        got = _classical_1d(F, basis, xs, xis, wxi, tables)
         want = _classical_1d_xi_loop(F, basis, xs, wx, xis, wxi)
         assert np.abs(got - want).max() < 1e-12
+
+
+def test_classical_phase_table_matches_direct_exponential():
+    from gweyl.errors import InputError
+    from gweyl.quantize import _classical_grid, _classical_tables
+
+    # the benchmark's grid (degree 4, oversample 1.5, shift 1/2) and the
+    # default grid at degree 16
+    for deg, shift, oversample in ((4, 0.5, 1.5), (16, 0.0, 3.5)):
+        basis = HermiteBasis(1, H, deg)
+        xs, wx, xis, _ = _classical_grid(basis, shift, oversample)
+        _, phase, _, _ = _classical_tables(basis, xs, wx, xis)
+        diffs = (xs[1] - xs[0]) * np.arange(1 - xs.size, xs.size)
+        want = np.exp(1j * xis[:, None] * diffs[None, :] / H)
+        assert phase.shape == want.shape
+        assert np.abs(phase - want).max() <= 1e-10
+    basis = HermiteBasis(1, H, 4)
+    xs = np.linspace(-6.0, 6.0, 41)
+    wx = np.ones(xs.size)
+    for xis in (np.linspace(-5.0, 5.0, 60), np.linspace(-4.0, 5.0, 61)):
+        with pytest.raises(InputError):
+            _classical_tables(basis, xs, wx, xis)
 
 
 def test_classical_matches_weyl_at_degree_16():

@@ -55,6 +55,13 @@ MUTANTS = {
         "c = c * np.exp(-0.49 * (a**2 + b**2) @ v)",
         ["tests/test_quantize.py::test_weyl_exponential_matches_oracle_at_high_degree"],
     ),
+    "classical-phase-conj": (
+        "quantize.py",
+        "phase[P:, :nx - 1] = Q[:, :0:-1].conj()",
+        "phase[P:, :nx - 1] = Q[:, :0:-1]",
+        ["tests/test_quantize.py::test_classical_factored_kernel_matches_xi_loop",
+         "tests/test_quantize.py::test_classical_matches_weyl_at_degree_16"],
+    ),
 }
 
 
