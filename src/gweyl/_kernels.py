@@ -98,7 +98,11 @@ def bargmann_pair_table(tau, deg: int) -> np.ndarray:
 # so every m_j lies in [-2 noff, 2 noff], inside the site axis when
 # moff >= 2 noff.  A single site (D = 1) is its m = 0 table.  The output is
 # the (d^D, d^D) matrix, row-major over the sites.  It is staged as a
-# tensor train: one BLAS contraction per bond.  The inputs keep their dtype:
+# tensor train with state S[n_j, (k_j, l_j), ..., (k_0, l_0)], a C-ordered
+# (N, rest) array: each bond, and then the last site, is one matrix product
+# that puts its site's (k, l) pair in front of the rest, so the state is
+# never transposed, and one permutation at the end orders the axes as
+# (k_0..k_{D-1}, l_0..l_{D-1}).  The inputs keep their dtype:
 # chain symbols pass real tables (the rotated basis of ``quantize``), so the
 # whole train runs in float64.
 # ---------------------------------------------------------------------------
@@ -115,16 +119,17 @@ def chain_contract(U, a) -> np.ndarray:
     if moff < 2 * noff:
         raise ValueError(f"site tables reach |m| <= {moff}, bonds need {2 * noff}")
     ns = np.arange(-noff, noff + 1)
-    # state S[n_{j}, k_0, l_0, ..., k_j, l_j]
-    S = U[0, ns + moff] * a[0][:, None, None]
+    N = ns.size
+    # state S[n_j, (k_j, l_j), ..., (k_0, l_0)], flattened to (N, rest)
+    S = (U[0, ns + moff] * a[0][:, None, None]).reshape(N, d * d)
     diff = ns[None, :] - ns[:, None] + moff
     for j in range(1, D - 1):
-        # bridge[n_{j-1}, n_j, k_j, l_j] = U[j, n_j - n_{j-1} + moff] a[j, n_j]
+        # bridge[n_{j-1}, (n_j, k_j, l_j)] = U[j, n_j - n_{j-1} + moff] a[j, n_j]
         bridge = U[j, diff] * a[j][None, :, None, None]
-        S = np.einsum("a...,abkl->b...kl", S, bridge, optimize=True)
+        S = (bridge.reshape(N, N * d * d).T @ S).reshape(N, -1)
     # close with the last site, m = -n_{D-2}
-    out = np.einsum("a...,akl->...kl", S, U[D - 1, moff - ns], optimize=True)
+    out = U[D - 1, moff - ns].reshape(N, d * d).T @ S
+    # axes (k_{D-1}, l_{D-1}, ..., k_0, l_0): k's of sites 0..D-1, then l's
+    perm = [2 * (D - 1 - j) + kl for kl in (0, 1) for j in range(D)]
     full = d ** D
-    # axes currently (k_0, l_0, k_1, l_1, ...): split k's from l's
-    perm = list(range(0, 2 * D, 2)) + list(range(1, 2 * D, 2))
-    return out.transpose(perm).reshape(full, full)
+    return out.reshape((d,) * (2 * D)).transpose(perm).reshape(full, full)

@@ -201,12 +201,6 @@ def _parity(basis: HermiteBasis) -> np.ndarray:
     return basis.indices.sum(axis=1) % 2
 
 
-def _parity_odd(basis: HermiteBasis) -> np.ndarray:
-    """Mask of the parity-odd block: entries [k, l] with |k| + |l| odd."""
-    p = _parity(basis)
-    return p[:, None] != p[None, :]
-
-
 def operator_norm(A) -> float:
     """Spectral norm (largest singular value); 0.0 if empty.
 
@@ -494,8 +488,12 @@ def _assemble_chain(F: SymbolDescriptor, basis: HermiteBasis, modes):
     V = (U * np.array([1, 1j, -1, -1j])[(k[:, None] - k[None, :]) % 4]).real
     a = np.reshape(data.bond_c, (D - 1, 2 * data.nmax + 1))
     sigma = 1.0 - 2.0 * (basis.indices.sum(axis=1) // 2 % 2)
-    M = sigma[:, None] * chain_contract(V, a) * sigma
-    M[_parity_odd(basis)] = 0.0
+    M = chain_contract(V, a)
+    M *= sigma[:, None]
+    M *= sigma
+    even = _parity(basis) == 0
+    M[np.ix_(even, ~even)] = 0.0
+    M[np.ix_(~even, even)] = 0.0
     q = max(_site_order(m, h, data.nmax, deg) for m in modes)
     return M, q
 

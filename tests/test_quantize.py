@@ -285,7 +285,9 @@ def _mehler_diagonal(amp, t, h, degree):
 
 
 def _odd_block(M, basis):
-    return M[quantize._parity_odd(basis)]
+    # entries [k, l] with |k| + |l| odd
+    p = basis.indices.sum(axis=1) % 2
+    return M[p[:, None] != p[None, :]]
 
 
 @pytest.mark.parametrize("degree", [16, 64, 100])
@@ -321,14 +323,16 @@ def _random_psd(rng, n):
 
 @pytest.mark.parametrize("selected", [(0, 1), (), (0,), (1,)])
 def test_gaussian_route_matches_dense_dim2(selected):
-    # the dense grid at order 72 resolves this symbol to about 1e-15
+    # the dense grid at order 40 resolves this symbol to about 1e-15: it
+    # differs from order 72 by at most 8.3e-16 over the four splits, and
+    # from the route by at most 1.5e-15
     from gweyl.quantize import _assemble_dense
 
     F = make_quadratic(_random_psd(np.random.default_rng(5), 4), 0.5)
     basis = HermiteBasis(2, H, 3)
     M = hybrid_matrix(F, CoordinateSplit(2, selected), basis)
     modes = ["weyl" if j in selected else "aw" for j in range(2)]
-    want = _assemble_dense(F, basis, modes, 72)
+    want = _assemble_dense(F, basis, modes, 40)
     assert M.meta["route"] == "gaussian" and "nodes" not in M.meta
     assert np.abs(M.entries - want).max() < 1e-13
     assert not _odd_block(M.entries, basis).any()
@@ -711,6 +715,34 @@ def test_chain_contract_keeps_real_inputs_real():
     U = rng.normal(size=(3, 5, 2, 2))
     out = chain_contract(U, rng.normal(size=(2, 3)))
     assert out.dtype == np.float64 and out.shape == (8, 8)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("D, noff, d", [(2, 2, 3), (3, 2, 3), (4, 1, 3), (5, 1, 2)])
+def test_chain_contract_matches_brute_force(D, noff, d, kind):
+    # A direct sum over every bond index: the term of (n_0, ..., n_{D-2}) is
+    # prod_b a[b, n_b] times the Kronecker product of the site tables at
+    # m_0 = n_0, m_j = n_j - n_{j-1}, m_{D-1} = -n_{D-2}.  The lattice's chain
+    # matrices are symmetric, so only site-distinct, non-symmetric tables and
+    # non-palindromic bonds can tell k from l or one site from another.
+    from gweyl._kernels import chain_contract
+
+    rng = np.random.default_rng([D, noff, d])
+    moff = 2 * noff + 1
+    U = rng.normal(size=(D, 2 * moff + 1, d, d))
+    if kind == "complex":
+        U = U + 1j * rng.normal(size=U.shape)
+    a = rng.normal(size=(D - 1, 2 * noff + 1))
+    ref = np.zeros((d**D, d**D), dtype=U.dtype)
+    for n in itertools.product(range(-noff, noff + 1), repeat=D - 1):
+        ms = [n[0], *(n[j] - n[j - 1] for j in range(1, D - 1)), -n[-1]]
+        term = np.prod([a[b, n[b] + noff] for b in range(D - 1)])
+        for j, m in enumerate(ms):
+            term = np.kron(term, U[j, m + moff])
+        ref += term
+    out = chain_contract(U, a)
+    assert out.dtype == U.dtype
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def _reference_chain(F, basis, modes):

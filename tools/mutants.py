@@ -49,6 +49,12 @@ MUTANTS = {
         "sigma = 1.0 - 0.0 * (basis.indices.sum(axis=1) // 2 % 2)",
         ["tests/test_quantize.py::test_chain_route_matches_dense_route"],
     ),
+    "chain-kl-transpose": (
+        "_kernels.py",
+        "return out.reshape((d,) * (2 * D)).transpose(perm).reshape(full, full)",
+        "return out.reshape((d,) * (2 * D)).transpose(perm).reshape(full, full).T",
+        ["tests/test_quantize.py::test_chain_contract_matches_brute_force"],
+    ),
     "atom-damping": (
         "quantize.py",
         "c = c * np.exp(-0.5 * (a**2 + b**2) @ v)",
