@@ -54,7 +54,6 @@ from .heat import (
     decomposition_check,
     heat_adjoint_M,
     heat_full,
-    heat_partial,
     op_S_I,
     op_T_I,
     smooth_symbol,
@@ -83,7 +82,6 @@ from .quantize import (
     ladder_run,
     operator_norm,
     oracle_U,
-    quantize_fourier_measure,
     weyl_form,
     weyl_matrix,
     weyl_matrix_classical,

@@ -125,18 +125,6 @@ def heat_full(F: SymbolDescriptor, t: float, Z: PhasePoint,
     return G.value_at(Z)
 
 
-def heat_partial(F: SymbolDescriptor, split: CoordinateSplit, on_selected: bool,
-                 t: float, Z: PhasePoint, order: int | None = None) -> complex:
-    """Partial smoothing over the selected coordinates (or the complement)."""
-    if t <= 0:
-        raise InputError("t must be positive")
-    coords = split.selected if on_selected else split.complement
-    if not coords:
-        return F.value_at(Z)
-    G = smooth_symbol(F, coords, t, order)
-    return G.value_at(Z)
-
-
 def heat_adjoint_M(G, split: CoordinateSplit, t: float, h1: float, h2: float,
                    Z: PhasePoint | tuple, order: int = 32) -> complex | np.ndarray:
     """Adjoint smoothing (M_{t,h1,h2} G)(Z); see module docstring.

@@ -90,14 +90,19 @@ lattice, read back at (i+j, i-j): O(nx nxi) symbol values and phases instead
 of nx^2 nxi, and a (2nx - 1) x nxi x (2nx - 1) product.  The phase table
 depends on the grid alone: with xi = m dxi and x - y = n dx it is E[|m n|],
 conjugated where m n < 0, for E[j] = exp(i dxi dx j / h), so it takes
-(nxi - 1)(nx - 1)/2 + 1 exponentials.  It is built once per grid, with the
-gamma-map table, and shared by the F = 1 check and the symbol (in dim 2, by
-every atom and coordinate on that grid).  A K-atom Fourier
-measure (F = 1 of the resolution check included) is a rank-K function on
-that lattice, sum_k c_k e^{i a_k mid} e^{i b_k xi}, so it is taken one axis
-at a time: K (2nx - 1 + nxi) exponentials and a K-row product, the rows
-first.  Generic symbols keep the full lattice; ``meta`` records the route,
-"atoms" (with the atom count) or "dense".
+(nxi - 1)(nx - 1)/2 + 1 exponentials.  Each symbol takes one dim-1 grid,
+sized for the largest frequency of any atom and coordinate; its tables,
+with the gamma-map table, are built once and shared by the F = 1 check and
+the symbol.  A Fourier atom e^{i(a z + b zeta)} is rank 1 on the lattice,
+so its kernel is a Hankel matrix of e^{i a mid} times a Toeplitz matrix of
+(e^{i b xi} w_xi) @ phase, both read as views of two vectors.  A Fourier
+measure runs at any dimension: each atom's 1-dim matrices per coordinate
+are joined by the Kronecker sum of the closed-form atom route.  In dim 1
+the K atoms (F = 1 of the resolution check included) are summed on the
+lattice instead, by one K-row product before a single read-back.  Generic
+symbols keep the full lattice, in dim 1 only; ``meta`` records the grid,
+its identity residual and the route, "atoms" (with the atom count) or
+"dense".
 
 The truncation ladder runs over an increasing coordinate family Lambda_n.
 Per coordinate anti-Wick(G) = Weyl(H_{h/2} G), and G = sum_{I subset of
@@ -132,6 +137,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.linalg import eigvalsh
 
 from ._kernels import bargmann_pair_table, chain_contract, wigner_pair_table
@@ -142,7 +148,7 @@ from .hermite import (
     MAX_STABLE_DEGREE, FunctionRep, HermiteBasis, coherent_state,
     complex_from_pairs, dumps_with_pairs, gamma_map, write_csv,
 )
-from .symbols import SymbolDescriptor, make_constant, make_fourier_measure
+from .symbols import SymbolDescriptor
 
 # flipped by the mutation fixtures in the test suite; any value other than
 # +1.0 corrupts the symmetric-kernel sign and must trip the oracle checks
@@ -622,28 +628,38 @@ def _classical_tables(basis: HermiteBasis, xs, wx, xis):
     return gw, phase, i[:, None] + i[None, :], i[:, None] - i[None, :] + nx - 1
 
 
-def _classical_1d(F, basis: HermiteBasis, xs, xis, wxi, tables) -> np.ndarray:
+def _classical_1d(a, b, h: float, grid, c=None) -> np.ndarray:
     # On the uniform grid xs the midpoints (x_i + x_j)/2 sit on a lattice of
     # 2nx - 1 points indexed by i + j, and the differences x_i - x_j on one
-    # indexed by i - j + nx - 1.  The xi-quadrature of the kernel is then one
-    # product G = (F(mids, xi) w_xi) @ phase, with the grid's phase table
-    # exp(i xi diffs / h) from _classical_tables, and the kernel is the
-    # gather M1[i, j] = G[i + j, i - j + nx - 1].
-    # A Fourier measure is a rank-K function on the (mids, xi) lattice,
-    # F = (e^{i a mids} c) (e^{i b xi}), so G is taken through its K rows.
-    gw, phase, rows, cols = tables
+    # indexed by i - j + nx - 1.  An atom e^{i(a z + b zeta)} is rank 1 on the
+    # (mids, xi) lattice, so its xi-quadrature against the grid's phase table
+    # exp(i xi diffs / h) is wz[i + j] v[i - j + nx - 1], wz = e^{i a mids}
+    # and v = (e^{i b xi} w_xi) @ phase: a Hankel times a Toeplitz matrix,
+    # both views of the two vectors.  Returns the (K, n, n) per-atom stack,
+    # or with weights c their sum, taken on the lattice as the rank-K product
+    # G = (wz c) @ v before one gather M1[i, j] = G[i + j, i - j + nx - 1].
+    xs, xis, wxi, (gw, phase, rows, cols) = grid
     mids = np.linspace(xs[0], xs[-1], 2 * xs.size - 1)
-    if F.atoms is not None:
-        c, a, b = (np.array(v) for v in zip(*F.atoms))
-        Wz = np.exp(1j * np.outer(mids, a[:, 0])) * c
-        Wxi = np.exp(1j * np.outer(b[:, 0], xis)) * wxi
-        G = Wz @ (Wxi @ phase)
+    V = (np.exp(1j * np.outer(b, xis)) * wxi) @ phase
+    if c is not None:
+        M1 = ((np.exp(1j * np.outer(mids, a)) * c) @ V)[rows, cols]
     else:
-        z = np.repeat(mids, xis.size)[:, None]
-        zeta = np.tile(xis, mids.size)[:, None]
-        fv = F(z, zeta).reshape(mids.size, xis.size)
-        G = (fv * wxi[None, :]) @ phase
-    return (gw.conj() @ G[rows, cols] @ gw.T) / (2.0 * math.pi * basis.h)
+        nx = xs.size
+        hankel = sliding_window_view(np.exp(1j * np.outer(a, mids)), nx, axis=1)
+        M1 = hankel * sliding_window_view(V, nx, axis=1)[..., ::-1]
+    return (gw.conj() @ M1 @ gw.T) / (2.0 * math.pi * h)
+
+
+def _classical_dense(F, h: float, grid) -> np.ndarray:
+    # a generic dim-1 symbol on the full (mids, xi) lattice, the same product
+    # and gather as the weighted atom sum of _classical_1d
+    xs, xis, wxi, (gw, phase, rows, cols) = grid
+    mids = np.linspace(xs[0], xs[-1], 2 * xs.size - 1)
+    z = np.repeat(mids, xis.size)[:, None]
+    zeta = np.tile(xis, mids.size)[:, None]
+    fv = F(z, zeta).reshape(mids.size, xis.size)
+    G = (fv * wxi[None, :]) @ phase
+    return (gw.conj() @ G[rows, cols] @ gw.T) / (2.0 * math.pi * h)
 
 
 _DIAG_CACHE = {}      # identity residual per grid, oldest evicted first
@@ -651,25 +667,27 @@ _DIAG_CACHE_CAP = 16
 _DIAG_TOL = 5e-6      # largest identity residual on F = 1 the oracle accepts
 
 
-def _classical_shift(pairs, h: float) -> float:
-    # grid shift for frequencies (a, b): h max(|a|, |b|), rounded up to a
+def _classical_shift(a, b, h: float) -> float:
+    # grid shift for the frequencies a, b: h max(|a|, |b|), rounded up to a
     # multiple of 1/2 so that nearby symbols share a grid and its check
-    return 0.5 * math.ceil(2.0 * h * max(max(abs(a), abs(b)) for a, b in pairs))
+    return 0.5 * math.ceil(2.0 * h * max(np.abs(a).max(), np.abs(b).max()))
 
 
 def _classical_setup(basis: HermiteBasis, shift: float, oversample: float):
-    """(xs, xis, wxi, tables, identity residual) of one dim-1 oracle grid.
+    """(grid, identity residual) of one dim-1 oracle grid.
 
-    Builds the grid's tables once and runs its F = 1 check on them, unless
+    The grid is (xs, xis, wxi, tables).  Builds the grid's tables once and
+    runs its F = 1 check, the atom a = b = 0 of weight 1, on them, unless
     ``_DIAG_CACHE`` holds the grid's residual; raises NumericalError when the
     residual exceeds ``_DIAG_TOL``.
     """
     xs, wx, xis, wxi = _classical_grid(basis, shift, oversample)
-    tables = _classical_tables(basis, xs, wx, xis)
+    grid = (xs, xis, wxi, _classical_tables(basis, xs, wx, xis))
     key = (basis.dim, basis.h, basis.max_degree, xs.size, xis.size,
            round(float(xs[-1]), 9), round(float(xis[-1]), 9))
     if key not in _DIAG_CACHE:
-        ident = _classical_1d(make_constant(1.0, 1), basis, xs, xis, wxi, tables)
+        zero = np.zeros(1)
+        ident = _classical_1d(zero, zero, basis.h, grid, np.ones(1))
         _DIAG_CACHE[key] = float(np.max(np.abs(ident - np.eye(basis.size))))
         if len(_DIAG_CACHE) > _DIAG_CACHE_CAP:
             del _DIAG_CACHE[next(iter(_DIAG_CACHE))]
@@ -679,58 +697,55 @@ def _classical_setup(basis: HermiteBasis, shift: float, oversample: float):
             f"classical-kernel resolution check failed: identity residual "
             f"{resid:.3e} > {_DIAG_TOL:.1e} on grid {xs.size} x {xis.size}"
         )
-    return xs, xis, wxi, tables, resid
+    return grid, resid
 
 
 def weyl_matrix_classical(F: SymbolDescriptor, basis: HermiteBasis,
                           oversample: float = 3.5) -> OperatorMatrix:
     """Independent symmetric-quantization oracle via the oscillatory kernel.
 
-    dim 1: dense Simpson grids, with an identity diagnostic on F = 1 that
+    One dense dim-1 Simpson grid per symbol, sized for the largest frequency
+    of any atom and coordinate, with an identity diagnostic on F = 1 that
     aborts (NumericalError) when its residual exceeds 5e-6, i.e. when the
-    resolution is insufficient.  dim 2 is available for Fourier-atom symbols
-    only: each atom's 1-dim oracle matrices per coordinate, joined by the
-    same Kronecker sum as the closed-form atom assembly; the atoms and
-    coordinates that share a grid share its tables and its F = 1 check.
+    resolution is insufficient.  Fourier-atom symbols run at any dimension:
+    each atom's 1-dim oracle matrices per coordinate, joined by the same
+    Kronecker sum as the closed-form atom assembly, a chunk of atoms at a
+    time.  Generic symbols run in dim 1 only.
     """
-    d, h = basis.dim, basis.h
-    if d == 1:
+    D, h = basis.dim, basis.h
+    b1 = HermiteBasis(1, h, basis.max_degree)
+    if F.atoms is not None:
+        c, a, b = (np.array(v) for v in zip(*F.atoms))
+        shift = _classical_shift(a, b, h)
+    elif D == 1:
         shift = 0.0
-        if F.atoms is not None:
-            shift = _classical_shift(
-                [(float(a[0]), float(b[0])) for _, a, b in F.atoms], h)
-        xs, xis, wxi, tables, resid = _classical_setup(basis, shift, oversample)
-        entries = _classical_1d(F, basis, xs, xis, wxi, tables)
-        meta = {"symbol": F.name, "method": "weyl-classical", "h": h,
-                "grid": [int(xs.size), int(xis.size)],
-                "identity_residual": resid}
-        if F.atoms is not None:
-            meta.update(route="atoms", atoms=len(F.atoms))
-        else:
-            meta.update(route="dense")
-        return OperatorMatrix(basis, entries, meta)
-    if d == 2 and F.atoms is not None:
-        b1 = HermiteBasis(1, h, basis.max_degree)
-        groups = {}       # grid shift -> [(atom, coordinate)]
-        for k, (_, a, b) in enumerate(F.atoms):
-            for j in range(2):
-                shift = _classical_shift([(float(a[j]), float(b[j]))], h)
-                groups.setdefault(shift, []).append((k, j))
-        factors = np.empty((2, b1.size, b1.size, len(F.atoms)), dtype=complex)
-        for shift, members in groups.items():
-            xs, xis, wxi, tables, _ = _classical_setup(b1, shift, oversample)
-            for k, j in members:
-                _, a, b = F.atoms[k]
-                atom = make_fourier_measure([(1.0, a[j:j + 1], b[j:j + 1])],
-                                            name="atom")
-                factors[j, ..., k] = _classical_1d(atom, b1, xs, xis, wxi, tables)
-        entries = _kron_sum([c for c, _, _ in F.atoms], list(factors))
-        meta = {"symbol": F.name, "method": "weyl-classical", "h": h,
-                "route": "atoms", "atoms": len(F.atoms)}
-        return OperatorMatrix(basis, entries, meta)
-    raise ResourceError(
-        "classical-kernel oracle supports dim 1, or dim 2 Fourier-atom symbols"
-    )
+    else:
+        raise ResourceError(
+            "classical-kernel oracle supports dim 1, or Fourier-atom symbols"
+        )
+    grid, resid = _classical_setup(b1, shift, oversample)
+    meta = {"symbol": F.name, "method": "weyl-classical", "h": h,
+            "grid": [int(grid[0].size), int(grid[1].size)],
+            "identity_residual": resid}
+    if F.atoms is None:
+        meta.update(route="dense")
+        return OperatorMatrix(basis, _classical_dense(F, h, grid), meta)
+    meta.update(route="atoms", atoms=int(c.size))
+    if D == 1:
+        return OperatorMatrix(basis, _classical_1d(a[:, 0], b[:, 0], h, grid, c),
+                              meta)
+    # per atom: one coordinate's (nx, nx) kernel and its half-conjugated copy,
+    # the D (n, n) matrices and the Kronecker tail
+    nx, n = grid[0].size, b1.size
+    step = max(1, _ATOM_CHUNK_BYTES
+               // (16 * (nx * (nx + n) + D * n * n + n ** (2 * D - 2))))
+    entries = np.zeros((basis.size, basis.size), dtype=complex)
+    for lo in range(0, c.size, step):
+        part = slice(lo, lo + step)
+        entries += _kron_sum(c[part], [
+            np.moveaxis(_classical_1d(a[part, j], b[part, j], h, grid), 0, -1)
+            for j in range(D)])
+    return OperatorMatrix(basis, entries, meta)
 
 
 def antiwick_equals_smoothed_weyl_check(F: SymbolDescriptor,
@@ -778,22 +793,6 @@ def oracle_U(a, b, h: float, basis: HermiteBasis,
     return OperatorMatrix(basis, entries,
                           {"method": "oracle-U", "a": a.tolist(), "b": b.tolist(),
                            "h": h})
-
-
-def quantize_fourier_measure(points, h: float, basis: HermiteBasis,
-                             order: int | None = None) -> OperatorMatrix:
-    """Operator of a finitely supported Fourier measure: sum c_k U(a_k, b_k)."""
-    total = None
-    mass = 0.0
-    for c, a, b in points:
-        U = oracle_U(a, b, h, basis, order)
-        term = complex(c) * U.entries
-        total = term if total is None else total + term
-        mass += abs(complex(c))
-    if total is None:
-        raise InputError("need at least one atom")
-    return OperatorMatrix(basis, total,
-                          {"method": "fourier-measure", "abs_mass": mass, "h": h})
 
 
 def wick_symbol(A: OperatorMatrix, X: PhasePoint) -> complex:

@@ -313,6 +313,17 @@ def test_classical_method_via_cli(tmp_path):
     assert (summary["route"], summary["atoms"]) == ("atoms", 1)
 
 
+def test_classical_generic_dim2_symbol_exits_4(tmp_path):
+    # the oracle takes generic symbols in dim 1 only; a Gaussian symbol has
+    # no atoms, so in dim 2 it is refused as a resource limit
+    cfg = write_cfg(tmp_path, "cl3.json", {
+        "symbol": {"family": "quadratic", "T": np.eye(4).tolist(), "t": 0.3},
+        "method": "weyl_classical",
+        "h": 0.5, "degree": 2, "out": str(tmp_path / "cl3"),
+    })
+    assert run_cli(["quantize", "--config", cfg]) == 4
+
+
 def _capped_lattice_converge(tmp_path, monkeypatch, ladder):
     # GW_MAX_SUBSETS caps the first rung's 2^|Lambda_1| subset expansion
     monkeypatch.setenv("GW_MAX_SUBSETS", "2")

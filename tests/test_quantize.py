@@ -31,7 +31,6 @@ from gweyl import (
     norm_NIm,
     operator_norm,
     oracle_U,
-    quantize_fourier_measure,
     seminorm_I,
     smooth_symbol,
     weyl_form,
@@ -186,27 +185,36 @@ def _classical_1d_xi_loop(F, basis, xs, wx, xis, wxi):
 
 
 def test_classical_factored_kernel_matches_xi_loop(rng):
-    from gweyl.quantize import _classical_1d, _classical_tables, _simpson_weights
+    from gweyl.quantize import (
+        _classical_1d, _classical_dense, _classical_tables, _simpson_weights,
+    )
 
     basis = HermiteBasis(1, H, 6)
     xs, xis = np.linspace(-6.0, 6.0, 41), np.linspace(-5.0, 5.0, 61)
     wx = _simpson_weights(xs.size, xs[1] - xs[0])
     wxi = _simpson_weights(xis.size, xis[1] - xis[0])
+    grid = (xs, xis, wxi, _classical_tables(basis, xs, wx, xis))
     quad = SymbolDescriptor(
         1, lambda z, zeta: np.exp(-0.3 * z[:, 0] ** 2 - 0.4 * z[:, 0] * zeta[:, 0]
                                   - 0.5 * zeta[:, 0] ** 2 + 0.7j * z[:, 0]),
         name="quadratic",
     )
-    # complex weights with nonzero a and b: the per-axis factors of a measure
+    want = _classical_1d_xi_loop(quad, basis, xs, wx, xis, wxi)
+    assert np.abs(_classical_dense(quad, H, grid) - want).max() < 1e-12
+    # complex weights with nonzero a and b: the per-atom Hankel-Toeplitz
+    # stack, contracted with c, and the weighted sum on the lattice, both
     # against F evaluated point by point in the reference
     complex_atoms = make_fourier_measure([
         (complex(*rng.normal(size=2)), rng.uniform(-1.5, 1.5, 1),
          rng.uniform(-1.5, 1.5, 1)) for _ in range(5)])
-    tables = _classical_tables(basis, xs, wx, xis)
-    for F in (random_trig_symbol(rng, positive=False), complex_atoms, quad):
-        got = _classical_1d(F, basis, xs, xis, wxi, tables)
+    for F in (random_trig_symbol(rng, positive=False), complex_atoms):
+        c, a, b = (np.array(v) for v in zip(*F.atoms))
+        stack = _classical_1d(a[:, 0], b[:, 0], H, grid)
+        summed = _classical_1d(a[:, 0], b[:, 0], H, grid, c)
+        assert stack.shape == (c.size, basis.size, basis.size)
+        assert np.abs(np.tensordot(c, stack, axes=1) - summed).max() < 1e-12
         want = _classical_1d_xi_loop(F, basis, xs, wx, xis, wxi)
-        assert np.abs(got - want).max() < 1e-12
+        assert np.abs(summed - want).max() < 1e-12
 
 
 def test_classical_phase_table_matches_direct_exponential():
@@ -265,13 +273,55 @@ def test_classical_resolution_diagnostic(monkeypatch):
         weyl_matrix_classical(make_constant(1.0, 1), basis, oversample=0.6)
 
 
-def test_classical_dim2_atoms_kron():
-    basis = HermiteBasis(2, H, 4)
-    F = make_exponential([1.1, 0.4], [0.7, -0.3])
+def _complex_atoms(rng, dim, n_atoms, freq=1.3):
+    return make_fourier_measure([
+        (complex(*rng.normal(size=2)), rng.uniform(-freq, freq, dim),
+         rng.uniform(-freq, freq, dim)) for _ in range(n_atoms)])
+
+
+def _classical_atoms_match_weyl(rng, dim, degree, n_atoms):
+    basis = HermiteBasis(dim, H, degree)
+    F = _complex_atoms(rng, dim, n_atoms)
     Mc = weyl_matrix_classical(F, basis)
     Mw = weyl_matrix(F, basis)
-    assert np.abs(Mc.entries - Mw.entries).max() < 1e-4
-    assert (Mc.meta["route"], Mc.meta["atoms"]) == ("atoms", 1)
+    assert np.abs(Mc.entries - Mw.entries).max() < 1e-12
+    assert (Mc.meta["route"], Mc.meta["atoms"]) == ("atoms", n_atoms)
+    assert len(Mc.meta["grid"]) == 2 and Mc.meta["identity_residual"] <= 5e-6
+
+
+def test_classical_dim2_atoms_kron(rng):
+    _classical_atoms_match_weyl(rng, 2, 4, 4)
+
+
+def test_classical_dim3_atoms_kron(rng):
+    _classical_atoms_match_weyl(rng, 3, 3, 2)
+
+
+def test_classical_atom_chunks_match_one_chunk(rng, monkeypatch):
+    basis = HermiteBasis(2, H, 2)
+    F = _complex_atoms(rng, 2, 7)
+    whole = weyl_matrix_classical(F, basis, oversample=1.5)
+    # per atom about 16 (nx (nx + n) + 2 n^2 + n^2) bytes, so a budget of
+    # two atoms takes the seven in four chunks, the last one partial
+    nx, n = whole.meta["grid"][0], 3
+    monkeypatch.setattr(quantize, "_ATOM_CHUNK_BYTES",
+                        2 * 16 * (nx * (nx + n) + 3 * n * n))
+    calls = []
+    kernel = quantize._classical_1d
+    monkeypatch.setattr(quantize, "_classical_1d",
+                        lambda *args: calls.append(args[0].size) or kernel(*args))
+    chunked = weyl_matrix_classical(F, basis, oversample=1.5)
+    assert calls == [2, 2, 2, 2, 2, 2, 1, 1]
+    assert np.abs(chunked.entries - whole.entries).max() < 1e-13
+
+
+def test_classical_generic_symbol_above_dim_1_is_refused():
+    from gweyl.errors import ResourceError
+
+    F = SymbolDescriptor(2, lambda z, zeta: np.exp(-z[:, 0] ** 2 - zeta[:, 1] ** 2),
+                         name="generic")
+    with pytest.raises(ResourceError):
+        weyl_matrix_classical(F, HermiteBasis(2, H, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +532,7 @@ def test_no_public_quantize_callable_takes_an_order():
         if callable(obj) and not name.startswith("_")
         and getattr(obj, "__module__", None) == quantize.__name__
         and "order" in inspect.signature(obj).parameters)
-    assert takes_order == ["oracle_U", "quantize_fourier_measure"]
+    assert takes_order == ["oracle_U"]
 
 
 # ---------------------------------------------------------------------------
@@ -900,15 +950,20 @@ def test_oracle_U_coherent_matrix_elements():
 
 
 def test_quantize_fourier_measure_norm_and_aw_damping(rng):
+    # the operator of a finitely supported Fourier measure, sum c_k U(a_k, b_k)
+    def measure_sum(points):
+        return sum(complex(c) * oracle_U(a, b, H, basis).entries
+                   for c, a, b in points)
+
     basis = HermiteBasis(1, H, 10)
     atoms = [(rng.uniform(0.1, 0.5) * np.exp(1j * rng.uniform(0, 6.28)),
               rng.uniform(-2, 2, 1), rng.uniform(-2, 2, 1)) for _ in range(4)]
-    M = quantize_fourier_measure(atoms, H, basis)
+    M = measure_sum(atoms)
     mass = sum(abs(c) for c, _, _ in atoms)
     assert operator_norm(M) <= mass + 1e-6
-    single = quantize_fourier_measure(atoms[:1], H, basis)
+    single = measure_sum(atoms[:1])
     U = oracle_U(atoms[0][1], atoms[0][2], H, basis)
-    assert np.abs(single.entries - atoms[0][0] * U.entries).max() < 1e-12
+    assert np.abs(single - atoms[0][0] * U.entries).max() < 1e-12
     # positive-quantization route equals the damped-atom operator sum
     F = make_fourier_measure(atoms)
     damped = [
@@ -916,8 +971,8 @@ def test_quantize_fourier_measure_norm_and_aw_damping(rng):
         for c, a, b in atoms
     ]
     lhs = antiwick_matrix(F, basis)
-    rhs = quantize_fourier_measure(damped, H, basis)
-    assert np.abs(lhs.entries - rhs.entries).max() < 1e-5
+    rhs = measure_sum(damped)
+    assert np.abs(lhs.entries - rhs).max() < 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,12 @@ MUTANTS = {
         ["tests/test_quantize.py::test_classical_factored_kernel_matches_xi_loop",
          "tests/test_quantize.py::test_classical_matches_weyl_at_degree_16"],
     ),
+    "classical-toeplitz-rows": (
+        "quantize.py",
+        "sliding_window_view(V, nx, axis=1)[..., ::-1]",
+        "sliding_window_view(V, nx, axis=1)",
+        ["tests/test_quantize.py::test_classical_dim2_atoms_kron"],
+    ),
 }
 
 
