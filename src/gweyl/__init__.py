@@ -82,7 +82,6 @@ from .quantize import (
     ladder_run,
     operator_norm,
     oracle_U,
-    weyl_form,
     weyl_matrix,
     weyl_matrix_classical,
     wick_symbol,

@@ -15,7 +15,8 @@ entries and coefficients are listed in Kronecker order of the multi-degrees
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 numerical
 diagnostic failure, 4 resource cap.  Environment: GW_MAX_NODES bounds
-quadrature grids (the atom and Gaussian routes have none), GW_MAX_SUBSETS
+quadrature grids: the chain route's site tables, the classical-kernel grid
+and tensor rules (the atom and Gaussian routes have none); GW_MAX_SUBSETS
 bounds 2^|I| subset expansions.
 """
 

@@ -10,9 +10,9 @@ coordinate subset.  Per coordinate j set A_j = Id - H_{j, h/2}; products
     T_I = prod_{j in I} (Id - H_{j, h/2}),    S_I = prod_{j in I} H_{j, h/2}
 
 satisfy the exact decomposition G = sum_{I subset of Lambda} T_I S_{Lambda \\ I} G
-for any finite coordinate set Lambda.  Symbols with closed smoothing
-(Fourier atoms, chains, Gaussian quadratic forms) are transformed exactly;
-anything else falls back to tensor quadrature.
+for any finite coordinate set Lambda.  Smoothing and T_I are closed-form
+for the structured families only (Fourier atoms, chains, sums of Gaussian
+quadratic forms); any other symbol raises InputError.
 
 The adjoint smoothing operator with respect to the split product measure
 nu_{h1, h2} = mu_{E^2, h1} (x) mu_{complement^2, h2} is
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InputError, ResourceError
 from .gaussian import PhasePoint, tensor_rule
-from .symbols import SymbolDescriptor
+from .symbols import SymbolDescriptor, _gaussian_symbol
 
 DEFAULT_MAX_SUBSET = 12
 
@@ -87,42 +87,22 @@ def _gauss_average(F, z, zeta, coords, nodes, weights, shrink=1.0):
     return out
 
 
-def _quadrature_smoothed(F: SymbolDescriptor, coords, t: float,
-                         order: int | None = None) -> SymbolDescriptor:
-    coords = tuple(sorted(set(int(c) for c in coords)))
-    k = len(coords)
-    if order is None:
-        order = 32 if k == 1 else (16 if k == 2 else 8)
-    nodes, weights = tensor_rule([t] * (2 * k), order)
-
-    def f(z, zeta):
-        return _gauss_average(F, np.atleast_2d(z), np.atleast_2d(zeta), coords,
-                              nodes, weights)
-
-    return SymbolDescriptor(F.dim, f, name=f"H[{F.name}]", growth=F.growth,
-                            poly_degree=F.poly_degree, sup_norm=F.sup_norm,
-                            meta=dict(F.meta))
-
-
-def smooth_symbol(F: SymbolDescriptor, coords, t: float,
-                  order: int | None = None) -> SymbolDescriptor:
-    """Partially smoothed symbol, closed-form when the family allows it."""
+def smooth_symbol(F: SymbolDescriptor, coords, t: float) -> SymbolDescriptor:
+    """Partially smoothed symbol in closed form; InputError if F has none."""
     coords = tuple(sorted(set(int(c) for c in coords)))
     if not coords:
         return F
     closed = F.smoothed(coords, t)
-    if closed is not None:
-        return closed
-    return _quadrature_smoothed(F, coords, t, order)
+    if closed is None:
+        raise InputError(f"symbol {F.name!r} has no closed-form smoothing")
+    return closed
 
 
-def heat_full(F: SymbolDescriptor, t: float, Z: PhasePoint,
-              order: int | None = None) -> complex:
-    """(H_t F)(Z), exact when F carries a closed heat action."""
+def heat_full(F: SymbolDescriptor, t: float, Z: PhasePoint) -> complex:
+    """(H_t F)(Z) in closed form."""
     if t <= 0:
         raise InputError("t must be positive")
-    G = smooth_symbol(F, range(F.dim), t, order)
-    return G.value_at(Z)
+    return smooth_symbol(F, range(F.dim), t).value_at(Z)
 
 
 def heat_adjoint_M(G, split: CoordinateSplit, t: float, h1: float, h2: float,
@@ -153,8 +133,10 @@ def op_T_I(F: SymbolDescriptor, I, h: float) -> SymbolDescriptor:
     """The difference product T_I F = prod_{j in I} (Id - H_{j, h/2}) F.
 
     Fourier atoms and chain symbols transform exactly (per-atom damping, or
-    per-site mixtures); the generic path expands by inclusion-exclusion into
-    2^|I| partial smoothings, capped by GW_MAX_SUBSETS.
+    per-site mixtures); a Gaussian expands by inclusion-exclusion into the
+    2^|I| terms (-1)^|J| S_J F, J subset of I, each a closed-form smoothed
+    Gaussian.  |I| is capped by GW_MAX_SUBSETS; any other symbol raises
+    InputError.
     """
     I = tuple(sorted(set(int(j) for j in I)))
     if any(j < 0 or j >= F.dim for j in I):
@@ -166,6 +148,7 @@ def op_T_I(F: SymbolDescriptor, I, h: float) -> SymbolDescriptor:
     if not I:
         return F
     s = 0.5 * h
+    sup = None if F.sup_norm is None else 2.0 ** len(I) * F.sup_norm
     if F.atoms is not None:
         from .symbols import make_fourier_measure
 
@@ -184,23 +167,16 @@ def op_T_I(F: SymbolDescriptor, I, h: float) -> SymbolDescriptor:
 
         data = F.chain.apply_site_ops({j: "id_minus_smooth" for j in I}, s)
         out = chain_descriptor(data, name=f"T_I[{F.name}]", template=F)
-        out.sup_norm = None if F.sup_norm is None else 2.0 ** len(I) * F.sup_norm
+        out.sup_norm = sup
         return out
-    terms = []
-    for r in range(len(I) + 1):
-        for J in itertools.combinations(I, r):
-            terms.append(((-1.0) ** len(J), smooth_symbol(F, J, s)))
-
-    def f(z, zeta):
-        out = np.zeros(np.atleast_2d(z).shape[0], dtype=complex)
-        for sign, G in terms:
-            out += sign * G(z, zeta)
+    if F.quad is not None:
+        terms = [((-1.0) ** len(J) * amp, A)
+                 for r in range(len(I) + 1) for J in itertools.combinations(I, r)
+                 for amp, A in F.smoothed(J, s).quad]
+        out = _gaussian_symbol(terms, name=f"T_I[{F.name}]", meta=F.meta)
+        out.sup_norm = sup
         return out
-
-    sup = None if F.sup_norm is None else 2.0 ** len(I) * F.sup_norm
-    return SymbolDescriptor(F.dim, f, name=f"T_I[{F.name}]", growth=F.growth,
-                            poly_degree=F.poly_degree, sup_norm=sup,
-                            meta=dict(F.meta))
+    raise InputError(f"symbol {F.name!r} has no closed-form difference product T_I")
 
 
 def op_S_I(F: SymbolDescriptor, I, h: float) -> SymbolDescriptor:

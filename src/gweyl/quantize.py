@@ -44,24 +44,21 @@ exponential is even, so its odd-degree coefficients, the parity-odd block
 (|k| + |l| odd), are sums of zeros: exactly 0.
 
 Nearest-neighbour chain symbols assemble from per-site quadrature tables at
-any dimension; generic symbols use a dense tensor grid (dim <= 2).  Each
-route sizes its own rule from the degree.  A chain site factor is a sum of
-separable terms e^{imz} amp e^{-alpha zeta^2}, and the pair table is a
-polynomial of degree <= 2 deg in zeta, so the zeta integral of a term is
-exact on deg + 1 Gauss-Hermite nodes of the Gaussian narrowed by
-e^{-alpha zeta^2}.  Only z needs a quadrature order that resolves the
-frequency waves: 64 nodes plus a frequency term, grown by one node per
-degree above 16, as the table's z-degree 2 deg grows.  (Projecting e^{imz}
-on the Hermite polynomials of degree <= 2 deg would be exact, but its terms
-cancel: it lost 3e-9 of the largest entry at degree 16, all of it at 40.)
-The zeta nodes pair as +-y and G(z, -zeta) = conj G(z, zeta) (below), so one
-node of each pair is evaluated.  A site table contracts the pair table over
-zeta once per term, a chunk of zeta nodes at a time under a fixed memory
-budget, then over z for every frequency m at once: about (deg + 1) q_z / 2
-table points per term instead of the q^2 of a tensor grid.  The dense grid
-has 80 (dim 1) or 48 (dim 2) nodes per variable, grown as the z rule is, and
-is contracted a block of first-coordinate nodes at a time under the same
-memory budget, so its pair table is never held whole.
+any dimension, on a rule sized from the degree.  No other symbol has a
+route: every family is Fourier atoms, a chain or a sum of Gaussians.  A
+chain site factor is a sum of separable terms e^{imz} amp e^{-alpha zeta^2},
+and the pair table is a polynomial of degree <= 2 deg in zeta, so the zeta
+integral of a term is exact on deg + 1 Gauss-Hermite nodes of the Gaussian
+narrowed by e^{-alpha zeta^2}.  Only z needs a quadrature order that
+resolves the frequency waves: 64 nodes plus a frequency term, grown by one
+node per degree above 16, as the table's z-degree 2 deg grows.  (Projecting
+e^{imz} on the Hermite polynomials of degree <= 2 deg would be exact, but
+its terms cancel: it lost 3e-9 of the largest entry at degree 16, all of it
+at 40.)  The zeta nodes pair as +-y and G(z, -zeta) = conj G(z, zeta)
+(below), so one node of each pair is evaluated.  A site table contracts the
+pair table over zeta once per term, a chunk of zeta nodes at a time under a
+fixed memory budget, then over z for every frequency m at once: about
+(deg + 1) q_z / 2 table points per term instead of the q^2 of a tensor grid.
 
 The chain route runs in real arithmetic.  A site factor e^{imz} g(zeta) has
 g real and even, and both pair tables satisfy G(z, -zeta) = conj G(z, zeta)
@@ -131,9 +128,11 @@ real symbol are Hermitian, and their norms are taken by Lanczos (see
 ``operator_norm``).
 """
 
+import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,10 +141,10 @@ from numpy.linalg import eigvalsh
 
 from ._kernels import bargmann_pair_table, chain_contract, wigner_pair_table
 from .errors import InputError, NumericalError, ResourceError
-from .gaussian import PhasePoint, gauss_hermite_1d, max_nodes, tensor_rule
+from .gaussian import PhasePoint, gauss_hermite_1d, max_nodes
 from .heat import CoordinateSplit, max_subset_size, op_T_I, smooth_symbol
 from .hermite import (
-    MAX_STABLE_DEGREE, FunctionRep, HermiteBasis, coherent_state,
+    MAX_STABLE_DEGREE, HermiteBasis, coherent_state,
     complex_from_pairs, dumps_with_pairs, gamma_map, write_csv,
 )
 from .symbols import SymbolDescriptor
@@ -273,12 +272,6 @@ def _mode_variance(mode: str, h: float) -> float:
     raise InputError(f"unknown coordinate mode {mode!r}")
 
 
-def _coord_grid(h: float, mode: str, order: int):
-    v = _mode_variance(mode, h)
-    nodes, w = tensor_rule([v, v], order)
-    return nodes, w
-
-
 def _coord_table(h: float, mode: str, deg: int, nodes: np.ndarray) -> np.ndarray:
     wz = nodes[:, 0] + 1j * _MUTATE_TABLE_SIGN * nodes[:, 1]
     if mode == "weyl":
@@ -286,50 +279,11 @@ def _coord_table(h: float, mode: str, deg: int, nodes: np.ndarray) -> np.ndarray
     return bargmann_pair_table(wz / math.sqrt(2.0 * h), deg)
 
 
-def _grown_order(base: int, deg: int) -> int:
-    """``base`` nodes plus one per degree above 16, as the pair table's degree grows."""
-    return base + max(0, deg - 16)
-
-
 # ---------------------------------------------------------------------------
 # assembly paths
 # ---------------------------------------------------------------------------
 
-_ATOM_CHUNK_BYTES = 1 << 27   # tables held at once by the atom, dense and chain routes
-
-
-def _assemble_dense(F: SymbolDescriptor, basis: HermiteBasis, modes, order: int):
-    """Tensor-grid quadrature of a generic symbol at ``order`` nodes per variable.
-
-    F on a block of first-coordinate nodes times the second coordinate's grid
-    is contracted against both tables, so about _ATOM_CHUNK_BYTES are held.
-    """
-    D, h, deg = basis.dim, basis.h, basis.max_degree
-    if D > 2:
-        raise ResourceError("dense quantization grids are limited to dim <= 2")
-    d = deg + 1
-    n1, w1 = _coord_grid(h, modes[0], order)
-    if D == 2:
-        n2, w2 = _coord_grid(h, modes[1], order)
-        T2 = (_coord_table(h, modes[1], deg, n2) * w2).reshape(d * d, -1)
-    else:
-        # one node of weight 1 with a 1 x 1 table: no second coordinate
-        n2, T2 = np.zeros((1, 0)), np.ones((1, 1))
-    q2 = n2.shape[0]
-    # per first-coordinate node: its table and temporaries, and F's points
-    step = max(1, _ATOM_CHUNK_BYTES // (16 * (2 * d * d + 8 * q2)))
-    P = np.zeros((d * d, T2.shape[0]), dtype=complex)   # [(l1, k1), (l2, k2)]
-    for lo in range(0, n1.shape[0], step):
-        x = n1[lo:lo + step]
-        z, ze = np.empty((2, len(x), q2, D))
-        z[..., 0], ze[..., 0] = x[:, None, 0], x[:, None, 1]
-        z[..., 1:], ze[..., 1:] = n2[:, :1], n2[:, 1:]
-        vals = F(z.reshape(-1, D), ze.reshape(-1, D)).reshape(len(x), q2)
-        vals *= w1[lo:lo + step, None]
-        P += _coord_table(h, modes[0], deg, x).reshape(d * d, -1) @ (vals @ T2.T)
-    # P is indexed [l1, k1, l2, k2]; the matrix is [(k1, k2), (l1, l2)]
-    axes = list(range(1, 2 * D, 2)) + list(range(0, 2 * D, 2))
-    return P.reshape((d, d) * D).transpose(axes).reshape(d**D, d**D)
+_ATOM_CHUNK_BYTES = 1 << 27   # tables held at once by the atom and chain routes
 
 
 def _assemble_atoms(c, a, b, basis: HermiteBasis, modes) -> np.ndarray:
@@ -377,8 +331,14 @@ def _kron_sum(c, factors) -> np.ndarray:
 
 
 def _gaussian_table(quad, basis: HermiteBasis, modes) -> np.ndarray:
+    """The sum of the terms' tables, from the first one: 0 + (-0.0) is +0.0,
+    so a single term keeps its signed zeros."""
+    return functools.reduce(operator.add, (_gaussian_term(amp, A, basis, modes)
+                                           for amp, A in quad))
+
+
+def _gaussian_term(amp, A, basis: HermiteBasis, modes) -> np.ndarray:
     """amp exp(-<A X, X>) by the generating-function recurrence (module docstring)."""
-    amp, A = quad
     D, h, d = basis.dim, basis.h, basis.max_degree + 1
     kappa = np.tile([0.5 * _mode_variance(m, h) for m in modes], 2)
     I, O = np.eye(D), np.zeros((D, D))
@@ -414,9 +374,10 @@ _SITE_Z_BASE = 64          # z rule's base order at degree <= 16
 
 def _site_order(mode: str, h: float, nmax: int, deg: int) -> int:
     """z order of a chain site table: exp(i m z) resolved to |m| = nmax + 6
-    against the mode's Gaussian, on a grown base of _SITE_Z_BASE nodes."""
+    against the mode's Gaussian, on _SITE_Z_BASE nodes plus one per degree
+    above 16, as the pair table's degree grows."""
     freq = 0.75 * (nmax + 6) ** 2 * _mode_variance(mode, h)
-    return _grown_order(_SITE_Z_BASE, deg) + int(math.ceil(freq))
+    return _SITE_Z_BASE + max(0, deg - 16) + int(math.ceil(freq))
 
 
 def _chain_site_table(entries, mode: str, h: float, deg: int, moff: int,
@@ -511,14 +472,12 @@ def hybrid_matrix(F: SymbolDescriptor, split: CoordinateSplit,
                   basis: HermiteBasis) -> OperatorMatrix:
     """Matrix acting symmetrically on the selected block, positively elsewhere.
 
-    Routes, first match: Fourier atoms and Gaussian symbols in closed form,
+    Routes, first match: Fourier atoms and sums of Gaussians in closed form,
     chain symbols from per-site tables (an exact zeta rule, and a z rule of
-    64 nodes plus the frequency term), anything else on a dense tensor grid
-    (dim <= 2) of 80 (dim 1) or 48 (dim 2) nodes per variable.  Both orders
-    grow by one node per degree above 16, and the dense grid is contracted a
-    block of first-coordinate nodes at a time under a fixed memory budget.
-    ``meta`` records the route and its size: the atom count, or the largest z
-    or grid order used (the Gaussian route has none).
+    64 nodes plus the frequency term, grown by one node per degree above
+    16).  Any other symbol raises InputError.  ``meta`` records the route
+    and its size: the atom count, or the largest z order used (the Gaussian
+    route has none).
     """
     if split.ambient_dim != basis.dim or F.dim != basis.dim:
         raise InputError("symbol, split and basis dimensions must agree")
@@ -536,9 +495,8 @@ def hybrid_matrix(F: SymbolDescriptor, split: CoordinateSplit,
         M = _gaussian_table(F.quad, basis, modes)
         meta.update(route="gaussian")
     else:
-        q = _grown_order(80 if basis.dim == 1 else 48, basis.max_degree)
-        M = _assemble_dense(F, basis, modes, q)
-        meta.update(route="dense", order=q)
+        raise InputError(f"symbol {F.name!r} is not Fourier atoms, a chain or "
+                         "a Gaussian, so it has no quantization route")
     return OperatorMatrix(basis, M, meta)
 
 
@@ -556,16 +514,6 @@ def antiwick_matrix(F: SymbolDescriptor, basis: HermiteBasis) -> OperatorMatrix:
     out = hybrid_matrix(F, split, basis)
     out.meta["method"] = "antiwick"
     return out
-
-
-def weyl_form(F: SymbolDescriptor, f: FunctionRep, g: FunctionRep) -> complex:
-    """Quadratic form <Op(F) f, g> = int F(Z) W_h(f, g)(Z) dmu_{h/2}(Z)."""
-    if F.growth not in ("bounded", "polynomial"):
-        raise InputError(f"undeclared growth class {F.growth!r}")
-    if f.basis != g.basis:
-        raise InputError("f and g must share a basis")
-    M = weyl_matrix(F, f.basis)
-    return complex(np.conj(g.coeffs) @ M.entries @ f.coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ A symbol is a function F(z, zeta) together with optional structure:
     stored exactly as a Bessel-Fourier series in z (I_n expansion, truncated
     at machine precision) times per-site Gaussian mixtures in zeta.  Gaussian
     smoothing acts closed-form on both factors.
-  * ``quad``: F(X) = amp exp(-<A X, X>) for symmetric psd A (the quadratic
-    family exp(-t <T X, X>) and its smoothings); smoothing over any
-    coordinate block has a closed Gaussian-integral form, and so has the
-    quantized matrix.
+  * ``quad``: F(X) = sum_i amp_i exp(-<A_i X, X>) for symmetric psd A_i
+    (the quadratic family exp(-t <T X, X>), its smoothings and its
+    difference products T_I); smoothing over any coordinate block has a
+    closed Gaussian-integral form term by term, and so has the quantized
+    matrix.
 
 Class metadata (m, M, eps) asserts the product derivative bound
 
@@ -25,8 +26,10 @@ central differences otherwise; ``norm_NIm`` sums h^((|alpha|+|beta|)/2)
 times sampled sups of those derivatives.
 """
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -195,7 +198,7 @@ class SymbolDescriptor:
     class_eps: np.ndarray | None = None
     atoms: list | None = None         # [(weight, a, b)]
     chain: ChainData | None = None
-    quad: tuple | None = None         # (amp, A): amp exp(-<A X, X>)
+    quad: list | None = None          # [(amp, A)]: sum amp exp(-<A X, X>)
     deriv: object | None = None       # callable (alpha, beta, z, zeta)
     oracle: dict | None = None
     meta: dict = field(default_factory=dict)
@@ -348,57 +351,56 @@ def make_fourier_measure(atoms, dim: int | None = None, name="fourier") -> Symbo
     return sym
 
 
-def _gaussian_symbol(amp: float, A, name: str,
-                    meta: dict | None = None) -> SymbolDescriptor:
-    """F(X) = amp exp(-<A X, X>) for a symmetric positive semidefinite A.
+def _gaussian_symbol(terms, name: str, meta: dict | None = None) -> SymbolDescriptor:
+    """F(X) = sum_i amp_i exp(-<A_i X, X>) for symmetric positive semidefinite A_i.
 
-    Closed forms: derivatives to order 2, Gaussian smoothing, and (in
-    ``quantize``) the quantized matrix.
+    Closed forms, term by term: derivatives to order 2, Gaussian smoothing,
+    and (in ``quantize``) the quantized matrix.  A single term has sup |F| =
+    |amp|; a sum leaves ``sup_norm`` unset.  Sums start from the first term,
+    not from 0 (0 + (-0.0) is +0.0), so a single term is returned bit for bit.
     """
-    A = np.asarray(A, dtype=float)
-    D = A.shape[0] // 2
+    terms = [(amp, np.asarray(A, dtype=float)) for amp, A in terms]
+    D = terms[0][1].shape[0] // 2
 
-    def phase_point(z, zeta):
-        return np.concatenate([np.atleast_2d(z), np.atleast_2d(zeta)], axis=1)
-
-    def f(z, zeta):
-        X = phase_point(z, zeta)
-        return (amp * np.exp(-np.einsum("ni,ij,nj->n", X, A, X))).astype(complex)
+    def term(amp, A, X, dirs):
+        val = amp * np.exp(-np.einsum("ni,ij,nj->n", X, A, X))
+        if dirs:
+            grad = -2.0 * (X @ A)          # (n, 2D)
+            if len(dirs) == 1:
+                val = grad[:, dirs[0]] * val
+            else:
+                i, j = dirs
+                val = (grad[:, i] * grad[:, j] - 2.0 * A[i, j]) * val
+        return val.astype(complex)
 
     def deriv(alpha, beta, z, zeta):
-        order = int(sum(alpha) + sum(beta))
-        if order > 2:
+        dirs = ([j for j, aj in enumerate(alpha) for _ in range(int(aj))]
+                + [j + D for j, bj in enumerate(beta) for _ in range(int(bj))])
+        if len(dirs) > 2:
             return None
-        X = phase_point(z, zeta)
-        base = amp * np.exp(-np.einsum("ni,ij,nj->n", X, A, X))
-        grad = -2.0 * (X @ A)          # (n, 2D)
-        dirs = []
-        for j, aj in enumerate(alpha):
-            dirs.extend([j] * int(aj))
-        for j, bj in enumerate(beta):
-            dirs.extend([j + D] * int(bj))
-        if order == 0:
-            return base.astype(complex)
-        if order == 1:
-            return (grad[:, dirs[0]] * base).astype(complex)
-        i, j = dirs
-        return ((grad[:, i] * grad[:, j] - 2.0 * A[i, j]) * base).astype(complex)
+        X = np.concatenate([np.atleast_2d(z), np.atleast_2d(zeta)], axis=1)
+        return functools.reduce(operator.add, (term(amp, A, X, dirs) for amp, A in terms))
 
-    return SymbolDescriptor(dim=D, func=f, name=name, sup_norm=abs(amp),
-                            quad=(amp, A), deriv=deriv, meta=dict(meta or {}))
+    def f(z, zeta):
+        return deriv((0,) * D, (0,) * D, z, zeta)
+
+    sup = abs(terms[0][0]) if len(terms) == 1 else None
+    return SymbolDescriptor(dim=D, func=f, name=name, sup_norm=sup,
+                            quad=terms, deriv=deriv, meta=dict(meta or {}))
 
 
 def _gaussian_smoothed(sym, coords, s):
-    # int amp exp(-<A(X + PY), X + PY>) dN(Y; 0, s I)
+    # per term, int amp exp(-<A(X + PY), X + PY>) dN(Y; 0, s I)
     #   = amp det(M)^(-1/2) exp(-<(A - 2s AP M^-1 P^T A) X, X>),
     # with P the inclusion of the smoothed (z_j, zeta_j) and M = I + 2s P^T A P
-    amp, A = sym.quad
     idx = list(coords) + [j + sym.dim for j in coords]
-    AP = A[:, idx]
-    M = np.eye(len(idx)) + 2.0 * s * A[np.ix_(idx, idx)]
-    A2 = A - 2.0 * s * AP @ np.linalg.solve(M, AP.T)
-    return _gaussian_symbol(amp / math.sqrt(np.linalg.det(M)), 0.5 * (A2 + A2.T),
-                           name=f"H[{sym.name}]", meta=sym.meta)
+    terms = []
+    for amp, A in sym.quad:
+        AP = A[:, idx]
+        M = np.eye(len(idx)) + 2.0 * s * A[np.ix_(idx, idx)]
+        A2 = A - 2.0 * s * AP @ np.linalg.solve(M, AP.T)
+        terms.append((amp / math.sqrt(np.linalg.det(M)), 0.5 * (A2 + A2.T)))
+    return _gaussian_symbol(terms, name=f"H[{sym.name}]", meta=sym.meta)
 
 
 def make_quadratic(T, t: float) -> SymbolDescriptor:
@@ -413,7 +415,7 @@ def make_quadratic(T, t: float) -> SymbolDescriptor:
     eigs = np.linalg.eigvalsh(T)
     if eigs.min() < -1e-10:
         raise InputError("T must be positive semidefinite")
-    return _gaussian_symbol(1.0, t * T, name="exp(-t<TX,X>)")
+    return _gaussian_symbol([(1.0, t * T)], name="exp(-t<TX,X>)")
 
 
 @dataclass(frozen=True)

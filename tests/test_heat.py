@@ -15,12 +15,14 @@ from gweyl import (
     make_exponential,
     make_fourier_measure,
     make_lattice,
+    make_quadratic,
     norm_NIm,
     op_T_I,
     smooth_symbol,
 )
 from gweyl.gaussian import bilinear_sq, tensor_rule
 from gweyl.symbols import LatticeSymbolParams
+from conftest import quadrature_smoothed
 
 
 def real_exp_symbol(u, v):
@@ -45,7 +47,7 @@ def test_heat_full_constant_and_linear_exponential():
     v = np.array([0.1 - 0.4j, 0.2 + 0.3j])
     G = real_exp_symbol(u, v)
     t = 0.4
-    got = heat_full(G, t, Z, order=48)
+    got = quadrature_smoothed(G, range(2), t, order=48).value_at(Z)
     a_sq = bilinear_sq(u) + bilinear_sq(v)
     want = np.exp(0.5 * t * a_sq) * G.value_at(Z)
     assert got == pytest.approx(want, rel=1e-9)
@@ -61,7 +63,8 @@ def test_heat_full_eigenaction_of_oscillating_symbol():
     assert got == pytest.approx(want, rel=1e-13)
     # quadrature cross-check of the closed eigen-action
     G = SymbolDescriptor(2, F.func, name="generic")
-    assert heat_full(G, h / 2, Z, order=40) == pytest.approx(want, rel=1e-10)
+    got = quadrature_smoothed(G, range(2), h / 2, order=40).value_at(Z)
+    assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_heat_partial_full_split_and_unaffected_coordinates():
@@ -177,10 +180,29 @@ def test_op_T_I_basics():
     lam = math.exp(-0.25 * h * (1.1**2 + 0.7**2))
     assert one_site.value_at(Z) == pytest.approx((1 - lam) * F.value_at(Z),
                                                  rel=1e-12)
-    # eigen-action route against generic quadrature inclusion-exclusion
+    # eigen-action route against quadrature inclusion-exclusion
     G = SymbolDescriptor(2, F.func, name="generic")
-    TG = op_T_I(G, [0], h)
-    assert TG.value_at(Z) == pytest.approx(one_site.value_at(Z), rel=1e-6)
+    TG = G.value_at(Z) - quadrature_smoothed(G, [0], h / 2).value_at(Z)
+    assert TG == pytest.approx(one_site.value_at(Z), rel=1e-6)
+
+
+def test_op_T_I_gaussian_is_inclusion_exclusion_of_smoothings():
+    # T_I F = sum_{J subset I} (-1)^|J| S_J F for a coupled Gaussian: one
+    # signed Gaussian term per J, each the closed-form smoothing over J
+    import itertools
+
+    h = 0.5
+    A = np.random.default_rng(4).normal(size=(6, 6))
+    F = make_quadratic(A @ A.T / 6 + 0.1 * np.eye(6), 0.7)
+    I = (0, 2)
+    T = op_T_I(F, I, h)
+    assert T.quad is not None and len(T.quad) == 4
+    pts = np.random.default_rng(9).normal(size=(12, 6))
+    z, zeta = pts[:, :3], pts[:, 3:]
+    want = sum((-1.0) ** len(J) * smooth_symbol(F, J, h / 2)(z, zeta)
+               for r in range(len(I) + 1) for J in itertools.combinations(I, r))
+    assert np.abs(T(z, zeta) - want).max() <= 1e-14
+    assert np.abs(want).max() > 1e-3
 
 
 def test_op_T_I_subset_cap(monkeypatch):

@@ -29,11 +29,11 @@ from gweyl import (
     make_lattice,
     make_quadratic,
     norm_NIm,
+    norm_Nm,
     operator_norm,
     oracle_U,
     seminorm_I,
     smooth_symbol,
-    weyl_form,
     weyl_matrix,
     weyl_matrix_classical,
     wick_symbol,
@@ -42,7 +42,10 @@ from gweyl import quantize
 from gweyl.heat import op_T_I
 from gweyl.symbols import LatticeSymbolParams, SymbolDescriptor
 from gweyl.gaussian import tensor_rule
-from conftest import EDGE_FLOATS, json_per_entry
+import conftest
+from conftest import (
+    EDGE_FLOATS, assemble_dense, coord_grid, json_per_entry, quadrature_smoothed,
+)
 
 H = 0.5
 
@@ -72,6 +75,17 @@ def real_trig_symbol(rng, dim=1, n_atoms=3, freq=2.0):
 # quadratic form
 # ---------------------------------------------------------------------------
 
+def weyl_form(M, f, g):
+    """Quadratic form <Op(F) f, g> = conj(g) M f of the matrix M of Op(F)."""
+    return complex(np.conj(g.coeffs) @ M @ f.coeffs)
+
+
+def dense_weyl(F, basis):
+    # a symbol with no structure (a linear monomial) on the reference grid:
+    # 80 nodes per variable in dim 1, as the dense route had at degree <= 16
+    return assemble_dense(F, basis, ["weyl"], 80)
+
+
 def test_weyl_form_of_one_is_inner_product(rng):
     basis = HermiteBasis(1, H, 8)
     one = make_constant(1.0, 1)
@@ -80,7 +94,8 @@ def test_weyl_form_of_one_is_inner_product(rng):
     from gweyl import FunctionRep
 
     f, g = FunctionRep(basis, cf), FunctionRep(basis, cg)
-    assert weyl_form(one, f, g) == pytest.approx(f.inner(g), rel=1e-7)
+    M = weyl_matrix(one, basis).entries
+    assert weyl_form(M, f, g) == pytest.approx(f.inner(g), rel=1e-7)
 
 
 def test_weyl_form_linear_symbol_odd_moment():
@@ -90,7 +105,7 @@ def test_weyl_form_linear_symbol_odd_moment():
         growth="polynomial", poly_degree=1,
     )
     one = constant_rep(basis)
-    assert abs(weyl_form(lin, one, one)) < 1e-12
+    assert abs(weyl_form(dense_weyl(lin, basis), one, one)) < 1e-12
 
 
 def test_weyl_form_exponential_matches_oracle_pairing(rng):
@@ -100,22 +115,21 @@ def test_weyl_form_exponential_matches_oracle_pairing(rng):
     U = oracle_U(a, b, H, basis)
     from gweyl import FunctionRep
 
+    M = weyl_matrix(F, basis).entries
     for _ in range(3):
         cf = rng.normal(size=basis.size)
         cg = rng.normal(size=basis.size)
         f, g = FunctionRep(basis, cf), FunctionRep(basis, cg)
-        lhs = weyl_form(F, f, g)
+        lhs = weyl_form(M, f, g)
         rhs = complex(np.conj(cg) @ U.entries @ cf)
         assert abs(lhs - rhs) < 1e-5
 
 
 def test_undeclared_growth_rejected():
-    basis = HermiteBasis(1, H, 4)
     bad = SymbolDescriptor(1, lambda z, zeta: np.ones(z.shape[0], complex),
                            name="bad", growth="wild")
-    one = constant_rep(basis)
     with pytest.raises(InputError):
-        weyl_form(bad, one, one)
+        norm_Nm(bad, 1, H)
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +163,8 @@ def test_classical_linear_symbol_is_multiplier_plus_derivative():
             want[l - 1, l] += (a + 1j * b) * math.sqrt(v) * math.sqrt(l)
             want[l - 1, l] += (h / 1j) * b * math.sqrt(l / v)
     assert np.abs(M.entries - want).max() < 1e-5
-    # dual-path: the quadratic-form route agrees
-    Mw = weyl_matrix(lin, basis)
-    assert np.abs(Mw.entries - want).max() < 1e-8
+    # dual-path: the quadratic-form quadrature agrees
+    assert np.abs(dense_weyl(lin, basis) - want).max() < 1e-8
 
 
 def test_classical_vs_form_random_bounded(rng):
@@ -376,21 +389,17 @@ def test_gaussian_route_matches_dense_dim2(selected):
     # the dense grid at order 40 resolves this symbol to about 1e-15: it
     # differs from order 72 by at most 8.3e-16 over the four splits, and
     # from the route by at most 1.5e-15
-    from gweyl.quantize import _assemble_dense
-
     F = make_quadratic(_random_psd(np.random.default_rng(5), 4), 0.5)
     basis = HermiteBasis(2, H, 3)
     M = hybrid_matrix(F, CoordinateSplit(2, selected), basis)
     modes = ["weyl" if j in selected else "aw" for j in range(2)]
-    want = _assemble_dense(F, basis, modes, 40)
+    want = assemble_dense(F, basis, modes, 40)
     assert M.meta["route"] == "gaussian" and "nodes" not in M.meta
     assert np.abs(M.entries - want).max() < 1e-13
     assert not _odd_block(M.entries, basis).any()
 
 
 def test_gaussian_route_degenerate_forms():
-    from gweyl.quantize import _assemble_dense
-
     # T = 0: R pairs s with t only, so the recurrence writes the identity
     I = weyl_matrix(make_quadratic(np.zeros((2, 2)), 1.0), HermiteBasis(1, H, 6))
     assert "nodes" not in I.meta
@@ -400,7 +409,7 @@ def test_gaussian_route_degenerate_forms():
     basis = HermiteBasis(1, H, 6)
     M = weyl_matrix(F, basis)
     assert "nodes" not in M.meta
-    want = _assemble_dense(F, basis, ["weyl"], 120)
+    want = assemble_dense(F, basis, ["weyl"], 120)
     assert np.abs(M.entries - want).max() < 1e-13
     assert not _odd_block(M.entries, basis).any()
     # rank 2 in dim 2, on coordinate 0 only: Op(F) = Op_1(F_1) (x) I
@@ -418,26 +427,24 @@ def test_gaussian_route_degenerate_forms():
 def test_gaussian_route_coupled_form_matches_dense(method):
     # a z-zeta coupling makes R's off-diagonal blocks depend on the sign of
     # the zeta part of the atoms' exponent, which a diagonal form cannot see
-    from gweyl.quantize import _assemble_dense
-
     F = make_quadratic(np.array([[1.0, 0.4], [0.4, 0.8]]), 0.5)
     basis = HermiteBasis(1, H, 8)
     M = method(F, basis)
     mode = "weyl" if method is weyl_matrix else "aw"
-    want = _assemble_dense(F, basis, [mode], 120)
+    want = assemble_dense(F, basis, [mode], 120)
     assert M.meta["route"] == "gaussian"
     assert np.abs(want.imag).max() > 1e-2
     assert np.abs(M.entries - want).max() < 1e-13
 
 
 def test_gaussian_route_matches_dense_dim2_degree_20():
-    # the dense grid at order 72 resolves this symbol to about 1e-15
-    from gweyl.quantize import _assemble_dense
-
+    # the dense grid at order 60 resolves this symbol to about 1e-15: it
+    # differs from order 72 by at most 9.7e-16, 103x under the bound, and
+    # the reference takes 2.9 s against 4.1 s at order 72 (2 CPUs)
     F = make_quadratic(_random_psd(np.random.default_rng(5), 4), 0.5)
     basis = HermiteBasis(2, H, 20)
     M = hybrid_matrix(F, CoordinateSplit(2, (1,)), basis)
-    want = _assemble_dense(F, basis, ["aw", "weyl"], 72)
+    want = assemble_dense(F, basis, ["aw", "weyl"], 60)
     assert M.meta["route"] == "gaussian"
     assert np.abs(M.entries - want).max() < 1e-13
 
@@ -499,21 +506,13 @@ def test_smoothed_gaussian_stays_closed_form():
     assert lhs.meta["route"] == rhs.meta["route"] == "gaussian"
     assert np.abs(lhs.entries - rhs.entries).max() < 1e-13
     # the closed-form smoothing agrees with quadrature pointwise
-    from gweyl.heat import _quadrature_smoothed
-
-    Q = _quadrature_smoothed(F, [1], H / 2, order=24)
+    Q = quadrature_smoothed(F, [1], H / 2, order=24)
     pts = np.random.default_rng(7).normal(size=(6, 4))
     assert np.abs(G(pts[:, :2], pts[:, 2:]) - Q(pts[:, :2], pts[:, 2:])).max() < 1e-13
 
 
 def test_hybrid_meta_records_route():
     basis = HermiteBasis(1, H, 4)
-    generic = SymbolDescriptor(
-        1, lambda z, zeta: np.exp(-z[:, 0] ** 2 - zeta[:, 0] ** 2), name="g")
-    dense = weyl_matrix(generic, basis).meta
-    assert dense["route"] == "dense" and dense["order"] == 80
-    # the dense grid grows by one node per degree above 16
-    assert weyl_matrix(generic, HermiteBasis(1, H, 40)).meta["order"] == 104
     F = make_lattice(LatticeSymbolParams(d=1, g=(0.3,), t=0.5, V="cos"), 2)
     chain = weyl_matrix(F, basis).meta
     assert chain["route"] == "chain" and chain["order"] > 64
@@ -523,16 +522,36 @@ def test_hybrid_meta_records_route():
 
 
 def test_no_public_quantize_callable_takes_an_order():
-    # routes size their own quadrature; only the translation-phase oracle
-    # sets its own rule
+    # routes size their own quadrature, and smoothing is closed-form; only
+    # the translation-phase oracle and the adjoint smoothing set their rule
     import inspect
 
-    takes_order = sorted(
-        name for name, obj in vars(quantize).items()
-        if callable(obj) and not name.startswith("_")
-        and getattr(obj, "__module__", None) == quantize.__name__
-        and "order" in inspect.signature(obj).parameters)
-    assert takes_order == ["oracle_U"]
+    from gweyl import heat
+
+    def takes_order(module):
+        return sorted(
+            name for name, obj in vars(module).items()
+            if callable(obj) and not name.startswith("_")
+            and getattr(obj, "__module__", None) == module.__name__
+            and "order" in inspect.signature(obj).parameters)
+
+    assert takes_order(quantize) == ["oracle_U"]
+    assert takes_order(heat) == ["heat_adjoint_M"]
+
+
+def test_symbol_without_structure_is_refused():
+    # atoms, chains and Gaussians are the only quantizable and smoothable
+    # families; a func-only symbol has no route and no closed smoothing
+    F = SymbolDescriptor(2, lambda z, zeta: np.exp(-z[:, 0] ** 2 - zeta[:, 1] ** 2),
+                         name="func-only")
+    with pytest.raises(InputError, match="func-only"):
+        hybrid_matrix(F, CoordinateSplit(2, (0,)), HermiteBasis(2, H, 2))
+    with pytest.raises(InputError, match="func-only"):
+        smooth_symbol(F, [1], H / 2)
+    with pytest.raises(InputError, match="func-only"):
+        op_T_I(F, [0], H)
+    with pytest.raises(InputError, match="func-only"):
+        heat_full(F, H / 2, PhasePoint([0.1, 0.2], [0.3, 0.4]))
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +566,8 @@ def test_antiwick_identity_and_quadratic_moment():
         1, lambda z, zeta: (z[:, 0] ** 2).astype(complex), name="z^2",
         growth="polynomial", poly_degree=2,
     )
-    M = antiwick_matrix(zsq, basis)
-    assert M.entries[0, 0] == pytest.approx(H, rel=1e-10)
+    M = assemble_dense(zsq, basis, ["aw"], 80)
+    assert M[0, 0] == pytest.approx(H, rel=1e-10)
 
 
 def test_antiwick_spectral_contraction(rng):
@@ -590,8 +609,6 @@ def test_dense_dim2_blocks_match_kron_of_dim1(monkeypatch):
     # tensor product of the two dim-1 dense matrices; order 10 gives 100
     # first-coordinate nodes, and a budget of 30 of them per block leaves
     # the last block partial
-    from gweyl.quantize import _assemble_dense
-
     f1 = lambda z, zeta: np.exp(-0.3 * z**2 - 0.2 * z * zeta - 0.6 * zeta**2)
     f2 = lambda z, zeta: np.exp(-0.5 * z**2 + 0.1 * z * zeta - 0.4 * zeta**2
                                 + 0.8j * zeta)
@@ -600,11 +617,11 @@ def test_dense_dim2_blocks_match_kron_of_dim1(monkeypatch):
     F1 = SymbolDescriptor(1, lambda z, zeta: f1(z[:, 0], zeta[:, 0]))
     F2 = SymbolDescriptor(1, lambda z, zeta: f2(z[:, 0], zeta[:, 0]))
     basis, b1 = HermiteBasis(2, H, 3), HermiteBasis(1, H, 3)
-    want = np.kron(_assemble_dense(F1, b1, ["weyl"], 10),
-                   _assemble_dense(F2, b1, ["aw"], 10))
+    want = np.kron(assemble_dense(F1, b1, ["weyl"], 10),
+                   assemble_dense(F2, b1, ["aw"], 10))
     # per first-coordinate node: 2 d^2 table and 8 q2 point entries of 16 bytes
-    monkeypatch.setattr(quantize, "_ATOM_CHUNK_BYTES", 30 * 16 * (2 * 16 + 8 * 100))
-    M = _assemble_dense(F, basis, ["weyl", "aw"], 10)
+    monkeypatch.setattr(conftest, "DENSE_CHUNK_BYTES", 30 * 16 * (2 * 16 + 8 * 100))
+    M = assemble_dense(F, basis, ["weyl", "aw"], 10)
     assert np.abs(M - want).max() < 1e-13
 
 
@@ -615,7 +632,7 @@ def _site_table_grid_sweep(entries, mode, h, deg, moff, nmax):
     from gweyl.symbols import _chain_site_factor
 
     order = q._site_order(mode, h, nmax, deg)
-    nodes, w = q._coord_grid(h, mode, order)
+    nodes, w = coord_grid(h, mode, order)
     tbl = q._coord_table(h, mode, deg, nodes)
     facs = np.stack([_chain_site_factor(entries, m, nodes[:, 0], nodes[:, 1])
                      for m in range(-moff, moff + 1)])
@@ -671,23 +688,6 @@ def test_chain_route_resolved_at_high_degree(monkeypatch, method, degree):
     peak, M = _peak_and_matrix(method, F, basis)
     ref = method(_ONE_SITE_GAUSSIAN, basis)
     assert M.meta["route"] == "chain" and ref.meta["route"] == "gaussian"
-    assert peak < 1 << 30
-    assert np.abs(M.entries - ref.entries).max() <= 1e-12 * np.abs(ref.entries).max()
-
-
-@pytest.mark.parametrize("method, degree", [(weyl_matrix, 64), (antiwick_matrix, 64),
-                                            (weyl_matrix, 100)])
-def test_dense_route_resolved_at_high_degree(method, degree):
-    # a func-only copy of the 1-site lattice symbol takes the dense grid,
-    # whose order grows with the degree; a fixed order of 80 was off by
-    # 6.1e-7 of the largest entry at degree 64 and by 1.1 at degree 100
-    # under Weyl, and its whole pair table peaked at 1036 MiB at degree 100
-    F = SymbolDescriptor(1, lambda z, zeta: np.exp(-0.25 * zeta[:, 0] ** 2),
-                         name="one-site")
-    basis = HermiteBasis(1, H, degree)
-    peak, M = _peak_and_matrix(method, F, basis)
-    ref = method(_ONE_SITE_GAUSSIAN, basis)
-    assert M.meta["route"] == "dense" and M.meta["order"] == degree + 64
     assert peak < 1 << 30
     assert np.abs(M.entries - ref.entries).max() <= 1e-12 * np.abs(ref.entries).max()
 
@@ -834,7 +834,8 @@ def test_chain_route_matches_dense_route(selected):
     # A weak coupling keeps the Bessel series short (nmax = 7), so the dense
     # order-48 grid resolves the symbol; measured max entry difference
     # 8.3e-15 (Weyl), 1.3e-15 (anti-Wick), 4.6e-15 (hybrid) on entries <= 0.94.
-    # The 1-site lattice (no bonds) takes the same chain_contract route.
+    # The 1-site lattice (no bonds) takes the same chain_contract route, and
+    # its reference grid has 80 nodes per variable.
     import dataclasses
 
     for g in ((0.3, 0.2), (0.3,)):
@@ -844,7 +845,8 @@ def test_chain_route_matches_dense_route(selected):
         basis = HermiteBasis(D, H, 3)
         split = CoordinateSplit(D, tuple(j for j in selected if j < D))
         got = hybrid_matrix(F, split, basis).entries
-        want = hybrid_matrix(dense, split, basis).entries
+        modes = ["weyl" if j in split.selected else "aw" for j in range(D)]
+        want = assemble_dense(dense, basis, modes, 48 if D == 2 else 80)
         assert np.abs(got - want).max() < 1e-12
 
 
@@ -1334,6 +1336,51 @@ def test_ladder_diff_bound_is_fresh_subset_sum(case):
     assert rep.final_bound == cv_bound(M, eps, H)
 
 
+def _gaussian_with_class(T, t, eps):
+    F = make_quadratic(T, t)
+    F.class_M = 1.0
+    F.class_eps = np.asarray(eps, dtype=float)
+    return F
+
+
+def test_gaussian_ladder_coupled_3_sites_stays_closed_form():
+    # every T_I of a Gaussian is a signed sum of smoothed Gaussians, so the
+    # first rung's subset expansion, each rung and the error bar all take
+    # the Gaussian route, and the expansion matches its rung to rounding
+    D = 3
+    F = _gaussian_with_class(_random_psd(np.random.default_rng(5), 2 * D), 0.5,
+                             [0.3, 0.3, 0.3])
+    ladder = IndexLadder(D, ((0,), (0, 1), (0, 1, 2)))
+    basis = HermiteBasis(D, H, 3)
+    rep = ladder_run(F, ladder, basis)
+    assert [s.route for s in rep.steps] == ["gaussian"] * D
+    assert rep.error_bar_route == "gaussian"
+    assert rep.route_residual <= 1e-13
+    assert np.abs(rep.final.entries - weyl_matrix(F, basis).entries).max() < 1e-13
+    # the expansion of the second rung too, T_I F for every I inside {0, 1}
+    mats = [hybrid_matrix(op_T_I(F, I, H), CoordinateSplit(D, I), basis).entries
+            for I in ((), (0,), (1,), (0, 1))]
+    rung = hybrid_matrix(F, CoordinateSplit(D, (0, 1)), basis).entries
+    assert np.abs(sum(mats) - rung).max() <= 1e-13
+
+
+def test_gaussian_ladder_separable_norms_match_closed_form():
+    # F = exp(-sum_j lam_j (z_j^2 + zeta_j^2)): per coordinate the Weyl
+    # matrix has top entry 1/(1 + lam h) and the anti-Wick one 1/(1 + 2 lam h)
+    # (the Mehler diagonals), so rung n has norm
+    # prod_{j < n} (1 + lam_j h)^-1 prod_{j >= n} (1 + 2 lam_j h)^-1
+    D = 4
+    lam = 0.5 * 0.7 ** np.arange(D)
+    F = _gaussian_with_class(np.diag(np.tile(lam, 2)), 1.0, np.sqrt(lam))
+    ladder = IndexLadder(D, tuple(tuple(range(k + 1)) for k in range(D)))
+    rep = ladder_run(F, ladder, HermiteBasis(D, H, 2))
+    assert [s.route for s in rep.steps] == ["gaussian"] * D
+    for n, step in enumerate(rep.steps, start=1):
+        want = np.prod(1.0 / (1.0 + lam[:n] * H)) * np.prod(1.0 / (1.0 + 2.0 * lam[n:] * H))
+        assert abs(step.norm - want) <= 1e-13
+    assert rep.route_residual <= 1e-13
+
+
 def test_ladder_independence_of_ordering():
     basis = HermiteBasis(3, H, 2)
     p = LatticeSymbolParams(d=1, g=(0.4, 0.3, 0.2), t=1.0, V="cos")
@@ -1395,11 +1442,12 @@ def test_weyl_form_seminorm_bound():
         return e / (1 + abs(y))
 
     Nm = max(quot(y) for y in np.linspace(-40, 40, 8001))
+    M = dense_weyl(F, basis)
     rng = np.random.default_rng(3)
     for _ in range(4):
         f = FunctionRep(basis, rng.normal(size=basis.size))
         g = FunctionRep(basis, rng.normal(size=basis.size))
-        lhs = abs(weyl_form(F, f, g))
+        lhs = abs(weyl_form(M, f, g))
         rhs = seminorm_I(f, 1) * seminorm_I(g, 1) * Nm
         assert lhs <= rhs * (1 + 1e-9)
 
@@ -1414,7 +1462,7 @@ def test_weyl_form_derivative_norm_bound(rng):
         NI = norm_NIm(Hsym, [0], 2, H, n_samples=400, seed=8)
         f = FunctionRep(basis, rng.normal(size=basis.size))
         g = FunctionRep(basis, rng.normal(size=basis.size))
-        lhs = abs(weyl_form(Hsym, f, g))
+        lhs = abs(weyl_form(weyl_matrix(Hsym, basis).entries, f, g))
         assert lhs <= (4.5 * math.pi) * NI * f.norm * g.norm * (1 + 1e-9)
 
 

@@ -23,6 +23,7 @@ from gweyl.symbols import (
     BESSEL_TOL, ChainData, LatticeSymbolParams, ZetaGauss, _bessel_coeffs, _scrambled_halton,
     quasi_ball,
 )
+from conftest import quadrature_smoothed
 
 
 def test_exponential_metadata():
@@ -311,7 +312,7 @@ def test_eigen_actions_match_quadrature_at_random_points(rng):
     F = make_exponential([1.3, -0.6], [0.4, 0.8])
     closed = smooth_symbol(F, [0, 1], h / 2)
     generic = SymbolDescriptor(2, F.func, name="generic")
-    quad = smooth_symbol(generic, [0, 1], h / 2, order=32)
+    quad = quadrature_smoothed(generic, [0, 1], h / 2, order=32)
     z = rng.normal(size=(20, 2))
     zeta = rng.normal(size=(20, 2))
     np.testing.assert_allclose(closed(z, zeta), quad(z, zeta), atol=1e-6)

@@ -31,6 +31,13 @@ MUTANTS = {
         "np.block([[1j * I, 1j * I], [I, -I]])",
         ["tests/test_quantize.py::test_gaussian_route_coupled_form_matches_dense"],
     ),
+    "gaussian-t-i-sign": (
+        "heat.py",
+        "((-1.0) ** len(J) * amp, A)",
+        "(amp, A)",
+        ["tests/test_heat.py::test_op_T_I_gaussian_is_inclusion_exclusion_of_smoothings",
+         "tests/test_quantize.py::test_gaussian_ladder_coupled_3_sites_stays_closed_form"],
+    ),
     "tail-without-square": (
         "quantize.py",
         "if j not in lam]] ** 2))",
