@@ -99,12 +99,18 @@ def bargmann_pair_table(tau, deg: int) -> np.ndarray:
 # moff >= 2 noff.  A single site (D = 1) is its m = 0 table.  The output is
 # the (d^D, d^D) matrix, row-major over the sites.  It is staged as a
 # tensor train with state S[n_j, (k_j, l_j), ..., (k_0, l_0)], a C-ordered
-# (N, rest) array: each bond, and then the last site, is one matrix product
-# that puts its site's (k, l) pair in front of the rest, so the state is
-# never transposed, and one permutation at the end orders the axes as
-# (k_0..k_{D-1}, l_0..l_{D-1}).  The inputs keep their dtype:
-# chain symbols pass real tables (the rotated basis of ``quantize``), so the
-# whole train runs in float64.
+# (N, rest) array that starts as a single 1 at n_{-1} = 0: site j < D - 2
+# is one matrix product with its bridge, which puts its (k, l) pair in
+# front of the rest, so the state is never transposed.  The last bridge and
+# the last site (m = -n_{D-2}) are first contracted with each other into a
+# small closing operator; each of its d^2 slices, one (k_{D-1}, l_{D-1})
+# pair, then takes one product with the state and is written through a
+# transposed view into the output's (k_0..k_{D-1}, l_0..l_{D-1}) order.
+# So neither the state after the last bond nor a transposed copy of the
+# output is ever whole: the contraction holds the output, the state before
+# the last bond and one slice.  The inputs keep their dtype: chain symbols
+# pass real tables (the rotated basis of ``quantize``), so the whole train
+# runs in float64.
 # ---------------------------------------------------------------------------
 
 def chain_contract(U, a) -> np.ndarray:
@@ -120,16 +126,28 @@ def chain_contract(U, a) -> np.ndarray:
         raise ValueError(f"site tables reach |m| <= {moff}, bonds need {2 * noff}")
     ns = np.arange(-noff, noff + 1)
     N = ns.size
-    # state S[n_j, (k_j, l_j), ..., (k_0, l_0)], flattened to (N, rest)
-    S = (U[0, ns + moff] * a[0][:, None, None]).reshape(N, d * d)
-    diff = ns[None, :] - ns[:, None] + moff
-    for j in range(1, D - 1):
-        # bridge[n_{j-1}, (n_j, k_j, l_j)] = U[j, n_j - n_{j-1} + moff] a[j, n_j]
-        bridge = U[j, diff] * a[j][None, :, None, None]
-        S = (bridge.reshape(N, N * d * d).T @ S).reshape(N, -1)
-    # close with the last site, m = -n_{D-2}
-    out = U[D - 1, moff - ns].reshape(N, d * d).T @ S
-    # axes (k_{D-1}, l_{D-1}, ..., k_0, l_0): k's of sites 0..D-1, then l's
-    perm = [2 * (D - 1 - j) + kl for kl in (0, 1) for j in range(D)]
+
+    def bridge(j, prev):
+        # bridge[n_{j-1}, n_j, (k_j, l_j)] = U[j, n_j - n_{j-1} + moff] a[j, n_j]
+        B = U[j, ns[None, :] - prev[:, None] + moff] * a[j][:, None, None]
+        return B.reshape(prev.size, N, d * d)
+
+    S = np.ones((1, 1), dtype=np.result_type(U, a))
+    prev = np.zeros(1, dtype=ns.dtype)
+    for j in range(D - 2):
+        S = (bridge(j, prev).reshape(prev.size, -1).T @ S).reshape(N, -1)
+        prev = ns
+    # close[(k_{D-1}, l_{D-1}), (k_{D-2}, l_{D-2}), n_{D-3}]
+    close = (bridge(D - 2, prev).transpose(0, 2, 1)
+             @ U[D - 1, moff - ns].reshape(N, d * d)).transpose(2, 1, 0)
     full = d ** D
-    return out.reshape((d,) * (2 * D)).transpose(perm).reshape(full, full)
+    out = np.empty((full, full), dtype=S.dtype)
+    grid = out.reshape((d,) * (2 * D))
+    # slice axes (k_{D-2}, l_{D-2}, ..., k_0, l_0) to (k_0..k_{D-2}, l_0..l_{D-2})
+    perm = [2 * (D - 2 - j) + kl for kl in (0, 1) for j in range(D - 1)]
+    lead = (slice(None),) * (D - 1)
+    for r in range(d * d):
+        k, l = divmod(r, d)
+        grid[(*lead, k, *lead, l)] = (close[r] @ S).reshape(
+            (d,) * (2 * D - 2)).transpose(perm)
+    return out

@@ -124,8 +124,9 @@ loses the small fresh factors to rounding.  The report gives each rung's
 difference-to-bound ratio and flags the bounds as vacuous when one exceeds
 its difference by more than 1e6.  The full rung is the Weyl matrix of F, so
 one Weyl matrix one degree up gives the truncation error bar.  Rungs of a
-real symbol are Hermitian, and their norms are taken by Lanczos (see
-``operator_norm``).
+real symbol are Hermitian, and their norms above n = 128 are taken by a
+numpy Lanczos that reads the operator only through a matvec (see
+``operator_norm``), one parity block at a time.
 """
 
 import functools
@@ -199,6 +200,8 @@ class OperatorMatrix:
 
 _HERMITIAN_TOL = 1e-13   # defect relative to max |entry| treated as Hermitian
 _LANCZOS_MIN_N = 128     # above this size Lanczos beats the dense eigensolver
+_BAND_ROWS = 16          # rows per temporary in the Hermitian and parity scans
+_LANCZOS_CHECK = 8       # Lanczos steps between convergence checks
 
 
 def _parity(basis: HermiteBasis) -> np.ndarray:
@@ -206,17 +209,24 @@ def _parity(basis: HermiteBasis) -> np.ndarray:
     return basis.indices.sum(axis=1) % 2
 
 
+def _bands(n: int):
+    """Slices of at most _BAND_ROWS consecutive rows covering 0..n-1."""
+    return (slice(i, i + _BAND_ROWS) for i in range(0, n, _BAND_ROWS))
+
+
 def operator_norm(A) -> float:
     """Spectral norm (largest singular value); 0.0 if empty.
 
     An ``OperatorMatrix`` whose parity-odd block (|k| + |l| odd) is exactly
     zero commutes with the parity (-1)^|k|, so its norm is the larger of its
-    two parity blocks' norms, each block about n/2.  A matrix whose imaginary
-    part is exactly zero is taken in float64.  Hermitian input has norm
-    max |eigenvalue|: dense ``eigvalsh`` up to n = 128, above that one
-    Lanczos eigenpair (ARPACK ``eigsh``) from a fixed seeded start, so the
+    two parity blocks' norms, each block about n/2; the blocks are copied
+    out one after the other, and the zero test and the Hermitian test scan
+    bands of rows, so the norm holds one block and band-sized temporaries.
+    A matrix whose imaginary part is exactly zero is taken in float64.
+    Hermitian input has norm max |eigenvalue|: dense ``eigvalsh`` up to
+    n = 128, above that ``_lanczos_norm`` from a fixed seeded start, so the
     result is bit-reproducible, falling back to the dense eigensolver if
-    ARPACK does not converge.  Anything else takes a dense SVD.
+    Lanczos does not converge.  Anything else takes a dense SVD.
     """
     M = A.entries if isinstance(A, OperatorMatrix) else np.asarray(A)
     if not np.iscomplexobj(M):
@@ -224,40 +234,82 @@ def operator_norm(A) -> float:
     elif not M.imag.any():
         M = M.real
     if isinstance(A, OperatorMatrix):
-        even = _parity(A.basis) == 0
-        if not (M[np.ix_(even, ~even)].any() or M[np.ix_(~even, even)].any()):
-            return max(_dense_norm(M[np.ix_(even, even)]),
-                       _dense_norm(M[np.ix_(~even, ~even)]))
+        p = _parity(A.basis)
+        even, odd = np.flatnonzero(p == 0), np.flatnonzero(p)
+        if not any(M[rows[r]][:, cols].any() for rows, cols in ((even, odd), (odd, even))
+                   for r in _bands(rows.size)):
+            return max(_dense_norm(M[np.ix_(idx, idx)]) for idx in (even, odd))
     return _dense_norm(M)
 
 
 def _dense_norm(M: np.ndarray) -> float:
-    """``operator_norm`` of one dense float64 or complex128 matrix."""
+    """``operator_norm`` of one dense float64 or complex128 matrix.
+
+    The Hermitian test and Lanczos hold band- and basis-sized temporaries;
+    only the dense solvers (n <= 128, a Lanczos fallback, or the SVD of a
+    non-Hermitian matrix) copy the whole matrix.
+    """
     if M.size == 0:
         return 0.0
     n = M.shape[0]
-    if M.shape != (n, n) or (np.max(np.abs(M - M.conj().T))
-                             > _HERMITIAN_TOL * np.max(np.abs(M))):
+    if M.shape != (n, n) or not _hermitian(M):
         return float(np.linalg.norm(M, 2))
     if n > _LANCZOS_MIN_N:
-        from scipy.linalg.blas import dgemv, zgemv
-        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-        # ARPACK runs on scipy's BLAS, so the matvec does too: a numpy matvec
-        # alternates between two OpenBLAS thread pools, which made eigsh about
-        # 50x slower at n = 256 under default threading on 2 CPUs.  Mt is M^T
-        # in Fortran order, and trans=1 applies its transpose, M.
-        Mt = np.asfortranarray(M.T)
-        gemv = zgemv if np.iscomplexobj(M) else dgemv
-        op = LinearOperator((n, n), dtype=M.dtype,
-                            matvec=lambda x: gemv(1.0, Mt, np.ravel(x), trans=1))
-        v0 = np.random.default_rng(0).standard_normal(n)
-        try:
-            top = eigsh(op, k=1, which="LM", v0=v0, return_eigenvectors=False)
-            return float(abs(top[0]))
-        except ArpackNoConvergence:
-            pass
+        top = _lanczos_norm(lambda v: M @ v, n, M.dtype)
+        if top is not None:
+            return top
     return float(np.max(np.abs(eigvalsh(M))))
+
+
+def _hermitian(M: np.ndarray) -> bool:
+    """max |M - M^H| <= _HERMITIAN_TOL max |M|, one temporary band of rows at a time."""
+    defect = scale = 0.0
+    for r in _bands(M.shape[0]):
+        band = M[r] - M[:, r].T.conj()
+        defect = max(defect, np.abs(band, out=band).real.max())
+        scale = max(scale, np.abs(M[r], out=band).real.max())
+    return defect <= _HERMITIAN_TOL * scale
+
+
+def _lanczos_norm(matvec, n: int, dtype):
+    """Largest |eigenvalue| of a Hermitian n x n operator, or None.
+
+    Lanczos with full reorthogonalisation (Gram-Schmidt twice per step) from
+    the start ``default_rng(0).standard_normal(n)``, applying the operator
+    only through ``matvec``.  Every _LANCZOS_CHECK steps the Ritz value theta
+    of largest modulus, at either end of the tridiagonal's spectrum, is
+    accepted once its residual |beta_j s_j| (s the Ritz vector's last
+    component) is at most n eps |theta|: for a Hermitian operator that bounds
+    the distance from theta to an eigenvalue.  The Krylov space is exhausted
+    after n steps (beta = 0 sooner on an invariant subspace), so that is the
+    cap; None means it was reached unconverged.
+    """
+    tol = n * np.finfo(float).eps
+    Q = np.empty((min(n, 64), n), dtype)   # orthonormal basis, one row per step
+    q = np.random.default_rng(0).standard_normal(n)
+    Q[0] = q / np.linalg.norm(q)
+    alpha, beta = [], []
+    for j in range(n):
+        basis = Q[:j + 1]
+        w = matvec(Q[j])
+        c = (basis @ w.conj()).conj()
+        w -= c @ basis
+        w -= (basis @ w.conj()).conj() @ basis
+        alpha.append(c[j].real)
+        b = float(np.linalg.norm(w))
+        if b == 0.0 or (j + 1) % _LANCZOS_CHECK == 0 or j + 1 == n:
+            # the tridiagonal's lower triangle, all eigh reads
+            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1))
+            top = np.argmax(np.abs(theta))
+            if b * abs(s[-1, top]) <= tol * abs(theta[top]):
+                return float(abs(theta[top]))
+            if j + 1 == n:
+                return None
+        if j + 1 == len(Q):
+            Q = np.concatenate((Q, np.empty((min(len(Q), n - len(Q)), n), dtype)))
+        beta.append(b)
+        Q[j + 1] = w / b
+    return None
 
 
 # ---------------------------------------------------------------------------

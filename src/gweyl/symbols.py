@@ -248,7 +248,13 @@ class SymbolDescriptor:
         return None
 
     def restricted(self, coords):
-        """F composed with the projection onto the listed coordinates."""
+        """F composed with the projection onto the listed coordinates.
+
+        Fourier atoms and Gaussians keep their structure, so their
+        restrictions still quantize in closed form: an atom loses its
+        frequencies outside the coordinates, a Gaussian the rows and columns
+        of each A outside them.  Any other symbol becomes a function only.
+        """
         coords = tuple(sorted(set(int(c) for c in coords)))
         if self.atoms is not None:
             new_atoms = []
@@ -262,6 +268,11 @@ class SymbolDescriptor:
                                         name=f"{self.name}|E")
         mask = np.zeros(self.dim)
         mask[list(coords)] = 1.0
+        if self.quad is not None:
+            # <A PX, PX> = <PAP X, X>, P the projection on (z_E, zeta_E)
+            P = np.concatenate([mask, mask])
+            return _gaussian_symbol([(amp, P[:, None] * A * P) for amp, A in self.quad],
+                                    name=f"{self.name}|E", meta=self.meta)
         base = self.func
 
         def f(z, zeta):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gweyl import HermiteBasis, make_exponential
-from gweyl.cli import main
+from gweyl.cli import COMMANDS, main
 from gweyl.quantize import oracle_U, weyl_matrix
 
 H = 0.5
@@ -141,26 +141,63 @@ def test_cold_import_loads_no_scipy():
     assert not loaded, f"import gweyl.cli loaded {', '.join(loaded)}"
 
 
-def test_wick_and_heat_load_no_scipy_stats(tmp_path):
-    # a fresh process, because this suite's own modules import scipy.stats
+_EXP_1D = {"family": "exponential", "a": [0.8], "b": [0.3]}
+
+# per case: the command, its config, and the public scipy subpackages it
+# loads in a fresh process
+_FRESH_RUNS = {
+    # iv for the Bessel coefficients, roots_hermite (which loads scipy.linalg)
+    # for the site tables; the norms up to n = 625 take numpy Lanczos
+    "converge": ("converge", {"symbol": {"family": "lattice",
+                                         "g": [0.5 * 0.7**j for j in range(4)],
+                                         "t": 1.0, "V": "cos", "m": 2},
+                              "h": 0.5, "degree": 3},
+                 ["scipy.linalg", "scipy.special"]),
+    # roots_hermite in oracle_U
+    "quantize": ("quantize", {"symbol": {"family": "exponential", "a": [1.1], "b": [-0.6]},
+                              "method": "weyl", "h": 0.5, "degree": 10},
+                 ["scipy.linalg", "scipy.special"]),
+    # ndtri for the Halton points, and no scipy.stats
+    "wick": ("wick", {"symbol": _EXP_1D, "h": 0.5, "degree": 12, "points": 6, "seed": 2},
+             ["scipy.special"]),
+    "wigner": ("wigner", {"f": {"kind": "coherent", "x": [0.3], "xi": [-0.2]},
+                          "dim": 1, "h": 0.5, "degree": 12}, []),
+    "heat": ("heat", {"symbol": _EXP_1D, "t": 0.3, "points": 6, "seed": 2},
+             ["scipy.special"]),
+    # erfc
+    "mc": ("mc", {"experiment": "lattice_norm", "b": [1.0, 2.0, 3.0], "eps": 1.2,
+                  "h": 0.7, "ladder": [1, 2, 3], "n": 50000, "seed": 5},
+           ["scipy.special"]),
+    "verify": ("verify", {"seed": 3}, ["scipy.linalg", "scipy.special"]),
+    # the recurrence and a dense eigvalsh
+    "quantize-quadratic": ("quantize", {"symbol": {"family": "quadratic",
+                                                   "T": [[1.0, 0.3], [0.3, 0.5]], "t": 0.7},
+                                        "method": "weyl", "h": 0.5, "degree": 12}, []),
+}
+
+
+@pytest.mark.parametrize("case", [*COMMANDS, "quantize-quadratic"])
+def test_command_loads_only_its_scipy_parts(tmp_path, case):
+    # a fresh process, because this suite's own modules import scipy, so a
+    # first import inside a function never runs here; a command with no case
+    # in _FRESH_RUNS fails
+    command, cfg, want = _FRESH_RUNS[case]
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    exp = {"family": "exponential", "a": [0.8], "b": [0.3]}
-    wick = write_cfg(tmp_path, "wick.json", {"symbol": exp, "h": 0.5, "degree": 6,
-                                             "points": 4, "seed": 2,
-                                             "out": str(tmp_path / "wick")})
-    heat = write_cfg(tmp_path, "heat.json", {"symbol": exp, "t": 0.3, "points": 4,
-                                             "seed": 2, "out": str(tmp_path / "heat")})
-    code = ("import sys\n"
+    path = write_cfg(tmp_path, "cfg.json", {**cfg, "out": str(tmp_path / "out")})
+    code = ("import json, sys\n"
             "from gweyl.cli import main\n"
-            f"assert main(['wick', '--config', {wick!r}]) == 0\n"
-            f"assert main(['heat', '--config', {heat!r}]) == 0\n"
-            "print(*sorted({'.'.join(m.split('.')[:2]) for m in sys.modules\n"
-            "               if m.startswith('scipy.stats')}))")
+            f"code = main([{command!r}, '--config', {path!r}])\n"
+            "parts = {'.'.join(m.split('.')[:2]) for m in sys.modules if m.startswith('scipy.')}\n"
+            "print(json.dumps([code, 'scipy' in sys.modules, sorted(parts)]))")
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    loaded = done.stdout.splitlines()[-1].split()
-    assert not loaded, f"wick and heat loaded {', '.join(loaded)}"
+    exit_code, scipy_loaded, parts = json.loads(done.stdout.splitlines()[-1])
+    assert exit_code == 0
+    public = [m for m in parts if not m.startswith("scipy._") and m != "scipy.version"]
+    assert public == want
+    assert "scipy.sparse" not in parts
+    assert scipy_loaded == bool(want)
 
 
 @pytest.mark.parametrize("g", [[12.5] * 4, [18.85, 18.85]])

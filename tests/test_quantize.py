@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from gweyl import (
     CoordinateSplit,
@@ -494,6 +492,24 @@ def test_gaussian_route_block_diagonal_form_dim3():
     assert np.abs(M.entries - np.kron(Ma.entries, Mb.entries)).max() < 1e-14
 
 
+def test_restricted_gaussian_stays_closed_form():
+    # F o P_E is the Gaussian with A's z- and zeta-rows and columns outside E
+    # set to zero; on E = {0} it is a function of (z_0, zeta_0) alone, so its
+    # Weyl matrix is the dim-1 one of T's E-block, tensored with the identity
+    T = _random_psd(np.random.default_rng(10), 4)      # (z0, z1, zeta0, zeta1)
+    F = make_quadratic(T, 0.5)
+    G = F.restricted([0])
+    M = weyl_matrix(G, HermiteBasis(2, H, 4))
+    assert M.meta["route"] == "gaussian"
+    z, zeta = np.random.default_rng(11).normal(size=(2, 40, 2))
+    mask = np.array([1.0, 0.0])
+    assert np.abs(G(z, zeta) - F(z * mask, zeta * mask)).max() <= 1e-14
+    E = [0, 2]
+    F1 = make_quadratic(T[np.ix_(E, E)], 0.5)
+    want = np.kron(weyl_matrix(F1, HermiteBasis(1, H, 4)).entries, np.eye(5))
+    assert np.abs(M.entries - want).max() < 1e-14
+
+
 def test_smoothed_gaussian_stays_closed_form():
     # hybrid on {0} equals Weyl of the symbol smoothed over coordinate 1,
     # and both sides take the Gaussian route
@@ -664,13 +680,14 @@ def test_chain_site_table_matches_grid_sweep(monkeypatch, mode, degree):
 _ONE_SITE_GAUSSIAN = make_quadratic(np.diag([0.0, 0.25]), 1.0)
 
 
-def _peak_and_matrix(method, F, basis):
+def _peak_and_result(f, *args):
+    # the tracemalloc peak of f(*args) above what was allocated before it
     import tracemalloc
 
     tracemalloc.start()
     try:
-        M = method(F, basis)
-        return tracemalloc.get_traced_memory()[1], M
+        out = f(*args)
+        return tracemalloc.get_traced_memory()[1], out
     finally:
         tracemalloc.stop()
 
@@ -685,7 +702,7 @@ def test_chain_route_resolved_at_high_degree(monkeypatch, method, degree):
     monkeypatch.setattr(quantize, "_SITE_TABLE_CACHE", {})
     F = make_lattice(LatticeSymbolParams(d=1, g=(0.5,), t=1.0, V="cos"), 2)
     basis = HermiteBasis(1, H, degree)
-    peak, M = _peak_and_matrix(method, F, basis)
+    peak, M = _peak_and_result(method, F, basis)
     ref = method(_ONE_SITE_GAUSSIAN, basis)
     assert M.meta["route"] == "chain" and ref.meta["route"] == "gaussian"
     assert peak < 1 << 30
@@ -793,6 +810,26 @@ def test_chain_contract_matches_brute_force(D, noff, d, kind):
     out = chain_contract(U, a)
     assert out.dtype == U.dtype
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_chain_contract_holds_about_its_output(monkeypatch):
+    # criterion 03's lattice at 4 sites, degree 4 (n = 625, 21 bond
+    # frequencies): the contraction holds its output, the state before the
+    # last bond (21 x 5^4) and one closing slice (5^6 entries), never the
+    # state after the last bond (21 x 5^6) or a transposed copy of the output
+    real = quantize.chain_contract
+    peaks = []
+
+    def traced(U, a):
+        peak, out = _peak_and_result(real, U, a)
+        peaks.append((peak, out.nbytes))
+        return out
+
+    monkeypatch.setattr(quantize, "chain_contract", traced)
+    _criterion03_weyl(4)
+    [(peak, nbytes)] = peaks
+    assert nbytes == 625 * 625 * 8
+    assert peak <= 1.25 * nbytes
 
 
 def _reference_chain(F, basis, modes):
@@ -1059,16 +1096,33 @@ def _parity_block_operator(seed=6):
     return OperatorMatrix(basis, M)
 
 
-def _counting(monkeypatch, module, name):
+def _negative_top_hermitian(n=301):
+    # the eigenvalue of largest modulus, about -5, is the most negative one;
+    # the largest is about 3.5
+    u = np.random.default_rng(7).normal(size=n)
+    u /= np.linalg.norm(u)
+    return 0.1 * _random_hermitian(n, 7) - 5.0 * np.outer(u, u)
+
+
+def _counting(monkeypatch, name, key):
+    # record key(*args) of each call to quantize.<name>
     calls = []
-    real = getattr(module, name)
+    real = getattr(quantize, name)
 
     def wrapped(*args, **kwargs):
-        calls.append((args[0].shape[0], np.dtype(args[0].dtype).kind))
+        calls.append(key(*args))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, wrapped)
+    monkeypatch.setattr(quantize, name, wrapped)
     return calls
+
+
+def _solver_calls(monkeypatch):
+    # the (size, dtype kind) of each Lanczos run and each dense eigensolve
+    lanczos = _counting(monkeypatch, "_lanczos_norm",
+                        lambda matvec, n, dtype: (n, np.dtype(dtype).kind))
+    dense = _counting(monkeypatch, "eigvalsh", lambda M: (M.shape[0], M.dtype.kind))
+    return lanczos, dense
 
 
 # per case: the (size, dtype kind) of each Lanczos and each dense eigensolve
@@ -1076,6 +1130,7 @@ _NORM_BRANCHES = {
     "dense-100": ([], [(100, "c")]),
     "lanczos-625": ([(625, "c")], []),
     "lanczos-odd-top": ([(301, "c")], []),
+    "lanczos-negative-top": ([(301, "c")], []),
     "real-symmetric-625": ([(625, "f")], []),
     "parity-blocks-625": ([(313, "f"), (312, "f")], []),
 }
@@ -1086,14 +1141,17 @@ def test_operator_norm_hermitian_branches_are_exact(monkeypatch, case):
     M = {"dense-100": lambda: _random_hermitian(100, 1),
          "lanczos-625": lambda: _random_hermitian(625, 2),
          "lanczos-odd-top": _odd_top_hermitian,
+         "lanczos-negative-top": _negative_top_hermitian,
          "real-symmetric-625": lambda: _random_hermitian(625, 2).real,
          "parity-blocks-625": _parity_block_operator}[case]()
     if case == "lanczos-odd-top":
         w, V = np.linalg.eigh(M)
         top = V[:, np.argmax(np.abs(w))]
         assert np.abs(top + top[::-1]).max() < 1e-12
-    lanczos = _counting(monkeypatch, scipy.sparse.linalg, "eigsh")
-    dense = _counting(monkeypatch, quantize, "eigvalsh")
+    if case == "lanczos-negative-top":
+        w = np.linalg.eigvalsh(M)
+        assert w[0] < -1.3 * w[-1] < 0.0
+    lanczos, dense = _solver_calls(monkeypatch)
     entries = M.entries if isinstance(M, OperatorMatrix) else M
     want = float(np.linalg.norm(entries, 2))
     got = operator_norm(M)
@@ -1112,8 +1170,7 @@ def test_operator_norm_splits_only_an_exactly_zero_odd_block(monkeypatch):
     entries = A.entries.copy()
     entries[k, l] = 10.0 * blocks
     B = OperatorMatrix(A.basis, entries)
-    lanczos = _counting(monkeypatch, scipy.sparse.linalg, "eigsh")
-    dense = _counting(monkeypatch, quantize, "eigvalsh")
+    lanczos, dense = _solver_calls(monkeypatch)
     want = float(np.linalg.norm(entries, 2))
     assert want > 9.0 * blocks
     assert operator_norm(B) == pytest.approx(want, rel=1e-12)
@@ -1124,7 +1181,7 @@ def test_operator_norm_non_hermitian_takes_svd(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("non-Hermitian input reached an eigensolver")
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
+    monkeypatch.setattr(quantize, "_lanczos_norm", refuse)
     monkeypatch.setattr(quantize, "eigvalsh", refuse)
     for n in (50, 300):
         A = _random_hermitian(n, 3)
@@ -1133,13 +1190,29 @@ def test_operator_norm_non_hermitian_takes_svd(monkeypatch):
 
 
 def test_operator_norm_falls_back_when_lanczos_does_not_converge(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+    def no_convergence(matvec, n, dtype):
+        return None
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    monkeypatch.setattr(quantize, "_lanczos_norm", no_convergence)
     M = _random_hermitian(300, 4)
     assert operator_norm(M) == pytest.approx(float(np.linalg.norm(M, 2)),
                                              rel=1e-12)
+
+
+def test_operator_norm_holds_one_parity_block():
+    # criterion 03's Weyl matrix at 4 sites, degree 4 (n = 625, parity blocks
+    # of 313 and 312): the blocks are copied out one after the other and the
+    # zero and Hermitian tests scan bands of rows, so the norm holds at most
+    # one block, what Lanczos allocates on it (basis and working vectors),
+    # and the parity vector, its index arrays and their temporaries
+    A = _criterion03_weyl(4)
+    p = A.basis.indices.sum(axis=1) % 2
+    block = A.entries[np.ix_(p == 0, p == 0)]
+    lanczos, _ = _peak_and_result(quantize._lanczos_norm, lambda v: block @ v,
+                                  block.shape[0], block.dtype)
+    peak, got = _peak_and_result(operator_norm, A)
+    assert got == pytest.approx(float(np.linalg.norm(A.entries, 2)), rel=1e-12)
+    assert peak <= block.nbytes + lanczos + 4 * p.nbytes
 
 
 # ---------------------------------------------------------------------------

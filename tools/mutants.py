@@ -58,9 +58,22 @@ MUTANTS = {
     ),
     "chain-kl-transpose": (
         "_kernels.py",
-        "return out.reshape((d,) * (2 * D)).transpose(perm).reshape(full, full)",
-        "return out.reshape((d,) * (2 * D)).transpose(perm).reshape(full, full).T",
+        "for kl in (0, 1) for j in range(D - 1)]",
+        "for kl in (1, 0) for j in range(D - 1)]",
         ["tests/test_quantize.py::test_chain_contract_matches_brute_force"],
+    ),
+    "chain-close-axis": (
+        "_kernels.py",
+        "k, l = divmod(r, d)",
+        "l, k = divmod(r, d)",
+        ["tests/test_quantize.py::test_chain_contract_matches_brute_force"],
+    ),
+    "lanczos-signed-top": (
+        "quantize.py",
+        "top = np.argmax(np.abs(theta))",
+        "top = np.argmax(theta)",
+        ["tests/test_quantize.py::test_operator_norm_hermitian_branches_are_exact"
+         "[lanczos-negative-top]"],
     ),
     "atom-damping": (
         "quantize.py",
