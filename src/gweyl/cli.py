@@ -124,6 +124,15 @@ def _positive(cfg: dict, key: str, cast, default):
     return v
 
 
+def _seed(cfg: dict) -> int:
+    """The seed: an integer 0 <= seed < 2^64, the uint64 key of the Philox
+    stream behind every random draw (``gaussian.sample``)."""
+    seed = _option(cfg, "seed", int, 0)
+    if not 0 <= seed < 2**64:
+        raise InputError(f"seed must be an integer in [0, 2^64), got {seed}")
+    return seed
+
+
 def _ints(values) -> tuple:
     return tuple(int(v) for v in values)
 
@@ -326,7 +335,7 @@ def cmd_wick(cfg: dict) -> int:
     h = basis.h
     n_pts = _positive(cfg, "points", int, 20)
     radius = _option(cfg, "radius", float, math.sqrt(h))
-    pts = quasi_ball(n_pts, 2 * sym.dim, radius, _option(cfg, "seed", int, 0))
+    pts = quasi_ball(n_pts, 2 * sym.dim, radius, _seed(cfg))
     op = weyl_matrix(sym, basis)
     rows = []
     worst = 0.0
@@ -391,7 +400,7 @@ def cmd_heat(cfg: dict) -> int:
     t = _positive(cfg, "t", float, 0.25)
     n_pts = _positive(cfg, "points", int, 10)
     pts = quasi_ball(n_pts, 2 * sym.dim, _option(cfg, "radius", float, 2.0),
-                     _option(cfg, "seed", int, 0))
+                     _seed(cfg))
     coords = _option(cfg, "coords", _ints, tuple(range(sym.dim)))
     G = smooth_symbol(sym, coords, t)
     vals = G(pts[:, : sym.dim], pts[:, sym.dim:])
@@ -405,7 +414,7 @@ def cmd_heat(cfg: dict) -> int:
 
 def cmd_mc(cfg: dict) -> int:
     kind = cfg.get("experiment", "brownian")
-    seed = _option(cfg, "seed", int, 0)
+    seed = _seed(cfg)
     h = _option(cfg, "h", float, 0.5)
     out = _outdir(cfg)
     meta = _metadata(cfg)
@@ -521,7 +530,7 @@ def _verify_checks(seed: int):
 
 def cmd_verify(cfg: dict) -> int:
     pattern = cfg.get("filter", "")
-    seed = _option(cfg, "seed", int, 0)
+    seed = _seed(cfg)
     checks = _verify_checks(seed)
     report = {}
     failed = False

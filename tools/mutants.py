@@ -75,6 +75,12 @@ MUTANTS = {
         ["tests/test_quantize.py::test_operator_norm_hermitian_branches_are_exact"
          "[lanczos-negative-top]"],
     ),
+    "hermite-no-newton": (
+        "gaussian.py",
+        "t -= eval_hermite(order, t) / dy",
+        "pass",
+        ["tests/test_gaussian.py::test_hermite_roots_are_scipy_roots_hermite_bit_for_bit"],
+    ),
     "atom-damping": (
         "quantize.py",
         "c = c * np.exp(-0.5 * (a**2 + b**2) @ v)",
