@@ -79,7 +79,7 @@ def _metadata(cfg: dict) -> dict:
     return {
         "version": __version__,
         "config_hash": _config_hash(cfg),
-        "seed": cfg.get("seed", 0),
+        "seed": _seed(cfg),
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_threads": (env.get("OPENBLAS_NUM_THREADS")
@@ -106,13 +106,27 @@ def _reads_config(read):
 _REQUIRED = object()
 
 
+def _integer(value, key: str) -> int:
+    """value if it is a JSON integer: a bool, a float or a string exits 2."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{key} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _integers(values, key: str) -> tuple:
+    return tuple(_integer(v, f"each entry of {key}") for v in values)
+
+
 @_reads_config
 def _option(cfg: dict, key: str, cast, default=_REQUIRED):
-    """cast(cfg[key]); the default when the key is absent or null."""
+    """cast(cfg[key]); the default when the key is absent or null.  The
+    integer casts, _integer and _integers, also take the key."""
     if cfg.get(key) is None:
         if default is _REQUIRED:
             raise KeyError(key)
         return default
+    if cast in (_integer, _integers):
+        return cast(cfg[key], key)
     return cast(cfg[key])
 
 
@@ -127,14 +141,10 @@ def _positive(cfg: dict, key: str, cast, default):
 def _seed(cfg: dict) -> int:
     """The seed: an integer 0 <= seed < 2^64, the uint64 key of the Philox
     stream behind every random draw (``gaussian.sample``)."""
-    seed = _option(cfg, "seed", int, 0)
+    seed = _option(cfg, "seed", _integer, 0)
     if not 0 <= seed < 2**64:
         raise InputError(f"seed must be an integer in [0, 2^64), got {seed}")
     return seed
-
-
-def _ints(values) -> tuple:
-    return tuple(int(v) for v in values)
 
 
 @_reads_config
@@ -145,13 +155,16 @@ def load_symbol(spec: dict) -> SymbolDescriptor:
     if fam == "exponential":
         return make_exponential(spec["a"], spec["b"])
     if fam == "constant":
-        return make_constant(spec.get("value", 1.0), int(spec["dim"]))
+        return make_constant(spec.get("value", 1.0), _integer(spec["dim"], "dim"))
     if fam == "fourier_measure":
         atoms = []
         for atom in spec["atoms"]:
             w = atom["weight"]
-            if isinstance(w, (list, tuple)):
+            if isinstance(w, list) and len(w) == 2:
                 w = complex(w[0], w[1])
+            elif isinstance(w, bool) or not isinstance(w, (int, float)):
+                raise InputError("an atom weight must be a number or an [re, im] "
+                                 f"pair, got {json.dumps(w)}")
             atoms.append((w, np.asarray(atom["a"], float),
                           np.asarray(atom["b"], float)))
         return make_fourier_measure(atoms)
@@ -162,12 +175,12 @@ def load_symbol(spec: dict) -> SymbolDescriptor:
         if V != "cos":
             raise InputError("the CLI supports the cosine bond potential only")
         params = LatticeSymbolParams(
-            d=int(spec.get("d", 1)),
+            d=_integer(spec.get("d", 1), "d"),
             g=tuple(float(x) for x in spec["g"]),
             t=float(spec.get("t", 1.0)),
             V=V,
         )
-        return make_lattice(params, int(spec.get("m", 2)))
+        return make_lattice(params, _integer(spec.get("m", 2), "m"))
     raise InputError(f"unknown symbol family {fam!r}")
 
 
@@ -181,6 +194,8 @@ def _load_config(args) -> dict:
             raise InputError(f"config file not found: {args.config}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"malformed config JSON: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise InputError(f"a config must be a JSON object, got {json.dumps(cfg)}")
     cfg.update((key, val) for key, val in vars(args).items()
                if val is not None and key not in ("command", "config"))
     return cfg
@@ -188,7 +203,8 @@ def _load_config(args) -> dict:
 
 @_reads_config
 def _basis_from(cfg: dict, dim: int) -> HermiteBasis:
-    return HermiteBasis(dim, float(cfg.get("h", 0.5)), int(cfg.get("degree", 8)))
+    return HermiteBasis(dim, float(cfg.get("h", 0.5)),
+                        _integer(cfg.get("degree", 8), "degree"))
 
 
 def _outdir(cfg: dict) -> str:
@@ -206,6 +222,7 @@ def _write_json(path: str, payload: dict) -> str:
 
 
 def cmd_quantize(cfg: dict) -> int:
+    meta = _metadata(cfg)
     sym = load_symbol(cfg.get("symbol", {}))
     basis = _basis_from(cfg, sym.dim)
     method = cfg.get("method", "weyl")
@@ -214,14 +231,13 @@ def cmd_quantize(cfg: dict) -> int:
     elif method == "antiwick":
         op = antiwick_matrix(sym, basis)
     elif method == "hybrid":
-        split = CoordinateSplit(basis.dim, _option(cfg, "split", _ints, ()))
+        split = CoordinateSplit(basis.dim, _option(cfg, "split", _integers, ()))
         op = hybrid_matrix(sym, split, basis)
     elif method == "weyl_classical":
         op = weyl_matrix_classical(sym, basis,
                                    _positive(cfg, "oversample", float, 3.5))
     else:
         raise InputError(f"unknown method {method!r}")
-    meta = _metadata(cfg)
     op.meta.update(meta)
     out = _outdir(cfg)
     with open(os.path.join(out, "operator.json"), "w") as fh:
@@ -300,15 +316,15 @@ def _svg_plot(path: str, steps, metadata: dict):
 @_reads_config
 def _ladder_from(cfg: dict, dim: int) -> IndexLadder:
     subsets = cfg.get("ladder", [range(k + 1) for k in range(dim)])
-    return IndexLadder(dim, tuple(tuple(s) for s in subsets))
+    return IndexLadder(dim, tuple(_integers(s, "ladder") for s in subsets))
 
 
 def cmd_converge(cfg: dict) -> int:
+    meta = _metadata(cfg)
     sym = load_symbol(cfg.get("symbol", {}))
     basis = _basis_from(cfg, sym.dim)
     ladder = _ladder_from(cfg, basis.dim)
     rep = ladder_run(sym, ladder, basis)
-    meta = _metadata(cfg)
     out = _outdir(cfg)
     rep.to_csv(os.path.join(out, "report.csv"), meta)
     _svg_plot(os.path.join(out, "report.svg"), rep.steps, meta)
@@ -333,7 +349,7 @@ def cmd_wick(cfg: dict) -> int:
     sym = load_symbol(cfg.get("symbol", {}))
     basis = _basis_from(cfg, sym.dim)
     h = basis.h
-    n_pts = _positive(cfg, "points", int, 20)
+    n_pts = _positive(cfg, "points", _integer, 20)
     radius = _option(cfg, "radius", float, math.sqrt(h))
     pts = quasi_ball(n_pts, 2 * sym.dim, radius, _seed(cfg))
     op = weyl_matrix(sym, basis)
@@ -357,12 +373,14 @@ def cmd_wick(cfg: dict) -> int:
 
 
 @_reads_config
-def _load_rep(spec: dict, basis: HermiteBasis):
+def _load_rep(spec: dict, basis: HermiteBasis, key: str):
+    if not isinstance(spec, dict):
+        raise InputError(f"{key} must be an object, got {json.dumps(spec)}")
     kind = spec.get("kind", "constant")
     if kind == "constant":
         return constant_rep(basis, spec.get("value", 1.0))
     if kind == "basis":
-        return basis_element(basis, spec["alpha"])
+        return basis_element(basis, _integers(spec["alpha"], "alpha"))
     if kind == "coherent":
         X = PhasePoint(np.asarray(spec["x"], float), np.asarray(spec["xi"], float))
         return coherent_state(X, basis.h, basis)
@@ -372,11 +390,11 @@ def _load_rep(spec: dict, basis: HermiteBasis):
 
 
 def cmd_wigner(cfg: dict) -> int:
-    dim = _option(cfg, "dim", int, 1)
+    dim = _option(cfg, "dim", _integer, 1)
     basis = _basis_from(cfg, dim)
-    f = _load_rep(cfg.get("f", {"kind": "constant"}), basis)
-    g = _load_rep(cfg.get("g", cfg.get("f", {"kind": "constant"})), basis)
-    n = _positive(cfg, "grid_points", int, 21)
+    f = _load_rep(cfg.get("f", {"kind": "constant"}), basis, "f")
+    g = _load_rep(cfg.get("g", cfg.get("f", {"kind": "constant"})), basis, "g")
+    n = _positive(cfg, "grid_points", _integer, 21)
     zmax = _option(cfg, "zmax", float, 2.0)
     zetamax = _option(cfg, "zetamax", float, 2.0)
     if dim != 1:
@@ -398,10 +416,10 @@ def cmd_wigner(cfg: dict) -> int:
 def cmd_heat(cfg: dict) -> int:
     sym = load_symbol(cfg.get("symbol", {}))
     t = _positive(cfg, "t", float, 0.25)
-    n_pts = _positive(cfg, "points", int, 10)
+    n_pts = _positive(cfg, "points", _integer, 10)
     pts = quasi_ball(n_pts, 2 * sym.dim, _option(cfg, "radius", float, 2.0),
                      _seed(cfg))
-    coords = _option(cfg, "coords", _ints, tuple(range(sym.dim)))
+    coords = _option(cfg, "coords", _integers, tuple(range(sym.dim)))
     G = smooth_symbol(sym, coords, t)
     vals = G(pts[:, : sym.dim], pts[:, sym.dim:])
     out = _outdir(cfg)
@@ -419,8 +437,8 @@ def cmd_mc(cfg: dict) -> int:
     out = _outdir(cfg)
     meta = _metadata(cfg)
     if kind == "brownian":
-        K = _positive(cfg, "K", int, 64)
-        n = _positive(cfg, "n", int, 10000)
+        K = _positive(cfg, "K", _integer, 64)
+        n = _positive(cfg, "n", _integer, 10000)
         ens = sample_brownian(K, h, n, seed)
         ens.to_csv(os.path.join(out, "brownian.csv"), meta)
         var = float(np.var(ens.paths[:, -1]))
@@ -430,15 +448,15 @@ def cmd_mc(cfg: dict) -> int:
     elif kind == "lattice_norm":
         b_weights = _option(cfg, "b", lambda v: np.asarray(v, dtype=float))
         rows = lattice_norm_probability(b_weights, _option(cfg, "eps", float), h,
-                                        _option(cfg, "ladder", _ints),
-                                        _positive(cfg, "n", int, 100000), seed)
+                                        _option(cfg, "ladder", _integers),
+                                        _positive(cfg, "n", _integer, 100000), seed)
         write_csv(os.path.join(out, "lattice_norm.csv"), meta,
                   ["sites", "mc", "stderr", "exact"], rows)
         worst = max(abs(mcv - exact) / max(se, 1e-12) for _, mcv, se, exact in rows)
         result = {"meta": meta, "worst_z": worst, "pass": worst < SIGMA_FAIL}
     elif kind == "integral":
         a = _option(cfg, "a", lambda v: np.asarray(v, dtype=float), np.ones(1))
-        n = _positive(cfg, "n", int, 100000)
+        n = _positive(cfg, "n", _integer, 100000)
         est, se = mc_integral(lambda x: np.exp(x @ a), a.shape[0], h, n, seed)
         want = exp_integral(a, h).real
         z = abs(est - want) / max(se, 1e-12)

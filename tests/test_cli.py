@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -7,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from gweyl import HermiteBasis, make_exponential
-from gweyl.cli import COMMANDS, main
+from gweyl import HermiteBasis, OperatorMatrix, make_exponential
+from gweyl.cli import COMMANDS, load_symbol, main
 from gweyl.quantize import oracle_U, weyl_matrix
 
 H = 0.5
@@ -142,6 +143,9 @@ def test_cold_import_loads_no_scipy():
 
 
 _EXP_1D = {"family": "exponential", "a": [0.8], "b": [0.3]}
+# criterion 03's lattice
+_LATTICE_03 = {"family": "lattice", "g": [0.5 * 0.7**j for j in range(4)],
+               "t": 1.0, "V": "cos", "m": 2}
 
 # per case: the command, its config, and the public scipy subpackages it
 # loads in a fresh process
@@ -149,10 +153,7 @@ _FRESH_RUNS = {
     # iv for the Bessel coefficients, eval_hermite for the site tables'
     # Gauss-Hermite rules (numpy solves their eigenproblem); the norms up to
     # n = 625 take numpy Lanczos
-    "converge": ("converge", {"symbol": {"family": "lattice",
-                                         "g": [0.5 * 0.7**j for j in range(4)],
-                                         "t": 1.0, "V": "cos", "m": 2},
-                              "h": 0.5, "degree": 3},
+    "converge": ("converge", {"symbol": _LATTICE_03, "h": 0.5, "degree": 3},
                  ["scipy.special"]),
     # eval_hermite for the Gauss-Hermite rule of oracle_U
     "quantize": ("quantize", {"symbol": {"family": "exponential", "a": [1.1], "b": [-0.6]},
@@ -600,30 +601,63 @@ def test_no_csv_contains_a_carriage_return(tmp_path):
         assert text.endswith(b"\n") and b"\r" not in text, csv_file.name
 
 
-@pytest.mark.parametrize("command, cfg", [
-    ("wigner", {**SMALL["wigner"], "grid_points": 0}),
-    ("wigner", {**SMALL["wigner"], "grid_points": -3}),
-    ("wick", {**SMALL["wick"], "points": -2}),
-    ("heat", {**SMALL["heat"], "points": -2}),
-    ("heat", {**SMALL["heat"], "t": -1.0}),
-    ("heat", {**SMALL["heat"], "t": 0.0}),
-    ("quantize", {**SMALL["quantize"], "method": "weyl_classical", "oversample": 0}),
-    ("mc", {**SMALL["mc"], "n": 0}),
-    ("mc", {"experiment": "brownian", "K": 4, "n": -1}),
-    ("mc", {"experiment": "brownian", "K": 0, "n": 5}),
+# an integer is a JSON integer: a bool, a float or a string is not cast
+@pytest.mark.parametrize("command, cfg, message", [
+    ("wigner", {**SMALL["wigner"], "grid_points": 0}, "grid_points must be > 0"),
+    ("wigner", {**SMALL["wigner"], "grid_points": -3}, "grid_points must be > 0"),
+    ("wick", {**SMALL["wick"], "points": -2}, "points must be > 0"),
+    ("heat", {**SMALL["heat"], "points": -2}, "points must be > 0"),
+    ("heat", {**SMALL["heat"], "t": -1.0}, "t must be > 0"),
+    ("heat", {**SMALL["heat"], "t": 0.0}, "t must be > 0"),
+    ("quantize", {**SMALL["quantize"], "method": "weyl_classical", "oversample": 0},
+     "oversample must be > 0"),
+    ("mc", {**SMALL["mc"], "n": 0}, "n must be > 0"),
+    ("mc", {"experiment": "brownian", "K": 4, "n": -1}, "n must be > 0"),
+    ("mc", {"experiment": "brownian", "K": 0, "n": 5}, "K must be > 0"),
     ("mc", {"experiment": "lattice_norm", "b": [1.0], "eps": 1.2, "ladder": [1],
-            "n": 0}),
+            "n": 0}, "n must be > 0"),
+    ("wigner", {**SMALL["wigner"], "f": [1]}, "f must be an object, got [1]"),
+    ("wigner", {**SMALL["wigner"], "g": "x"}, 'g must be an object, got "x"'),
+    ("quantize", {**SMALL["quantize"], "symbol": {"family": "fourier_measure", "atoms": [
+        {"weight": [1, 2, 3], "a": [0.5], "b": [0.2]}]}},
+     "an atom weight must be a number or an [re, im] pair, got [1, 2, 3]"),
+    ("quantize", {**SMALL["quantize"], "degree": 4.7}, "degree must be an integer, got 4.7"),
+    ("quantize", {**SMALL["quantize"], "degree": True}, "degree must be an integer, got true"),
+    ("quantize", {**SMALL["quantize"], "degree": "5"}, 'degree must be an integer, got "5"'),
+    ("wick", {**SMALL["wick"], "points": 2.9}, "points must be an integer, got 2.9"),
+    ("quantize", {**SMALL["quantize"], "symbol": {**_LATTICE_03, "m": 2.5}},
+     "m must be an integer, got 2.5"),
+    ("quantize", {**SMALL["quantize"], "symbol": {"family": "constant", "dim": 1.5}},
+     "dim must be an integer, got 1.5"),
+    ("quantize", {**SMALL["quantize"], "seed": "abc"}, 'seed must be an integer, got "abc"'),
+    ("quantize", {**SMALL["quantize"], "method": "hybrid", "split": [0.0]},
+     "each entry of split must be an integer, got 0.0"),
+    ("wigner", {**SMALL["wigner"], "f": {"kind": "basis", "alpha": [1.0]}},
+     "each entry of alpha must be an integer, got 1.0"),
 ], ids=["grid_points-0", "grid_points-neg", "wick-points", "heat-points", "t-neg",
         "t-0", "oversample-0", "integral-n", "brownian-n", "brownian-K",
-        "lattice_norm-n"])
-def test_out_of_range_config_values_exit_2(tmp_path, capsys, command, cfg):
+        "lattice_norm-n", "f-list", "g-string", "weight-triple", "degree-float",
+        "degree-bool", "degree-string", "points-float", "lattice-m-float",
+        "constant-dim-float", "quantize-seed-string", "split-entry-float",
+        "alpha-entry-float"])
+def test_out_of_range_config_values_exit_2(tmp_path, capsys, command, cfg, message):
     path = write_cfg(tmp_path, "c.json", {**cfg, "out": str(tmp_path / "out")})
     assert run_cli([command, "--config", path]) == 2
-    assert "must be" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("seed, want", [(-1, 2), (2**64, 2), (2**64 - 1, 0)],
-                         ids=["neg", "2^64", "2^64-1"])
+@pytest.mark.parametrize("text", ["[]", '"x"', "1", "null"])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    for command in COMMANDS:
+        assert run_cli([command, "--config", str(path)]) == 2
+        assert f"a config must be a JSON object, got {text}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed, want", [(-1, 2), (2**64, 2), (2**64 - 1, 0), (1.9, 2),
+                                        (True, 2), ("1", 2)],
+                         ids=["neg", "2^64", "2^64-1", "float", "bool", "string"])
 @pytest.mark.parametrize("command", [c for c, f in COMMAND_FLAGS.items() if "seed" in f])
 def test_seed_outside_uint64_exits_2(tmp_path, capsys, command, seed, want):
     # the seed keys a uint64 Philox stream; outside [0, 2^64) it is an input
@@ -633,3 +667,102 @@ def test_seed_outside_uint64_exits_2(tmp_path, capsys, command, seed, want):
     assert run_cli([command, "--config", path]) == want
     if want == 2:
         assert "seed must be" in capsys.readouterr().err
+
+
+# End-to-end checks of the paper's constructions, one config each: Mehler's
+# closed form, anti-Wick positivity and contraction, the oscillatory-kernel
+# oracle at its default grid against Weyl, and criterion 03's lattice and ladder
+def _quantize(symbol, method, degree):
+    return {"symbol": symbol, "method": method, "h": H, "degree": degree}
+
+
+def _measure(weights, a, b):
+    return {"family": "fourier_measure",
+            "atoms": [{"weight": w, "a": x, "b": y} for w, x, y in zip(weights, a, b)]}
+
+
+def _full_rank_quadratic():
+    A = np.random.default_rng(3).normal(size=(6, 6))
+    return {"family": "quadratic", "T": (A @ A.T / 6 + 0.1 * np.eye(6)).tolist(), "t": 0.5}
+
+
+def _operator(out, summary):
+    op = OperatorMatrix.from_json((out / "operator.json").read_text())
+    assert op.meta["route"] == summary["route"]
+    return op
+
+
+def _mehler(cfg, out, summary):
+    th = cfg["symbol"]["t"] * cfg["h"]
+    want = ((1 - th) / (1 + th)) ** np.arange(cfg["degree"] + 1) / (1 + th)
+    assert np.abs(_operator(out, summary).entries - np.diag(want)).max() < 1e-12
+
+
+def _positive_contraction(cfg, out, summary):
+    # the symbol takes values in (0, 1], so its anti-Wick operator is
+    # Hermitian with spectrum in [0, 1]
+    op = _operator(out, summary)
+    M = op.entries
+    assert op.basis.size == 343
+    assert np.abs(M - M.conj().T).max() < 1e-12
+    ev = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
+    assert ev[0] >= 0.0 and ev[-1] <= 1.0
+
+
+def _matches_weyl(cfg, out, summary):
+    op = _operator(out, summary)
+    F = load_symbol(cfg["symbol"])
+    want = weyl_matrix(F, HermiteBasis(F.dim, cfg["h"], cfg["degree"])).entries
+    assert np.abs(op.entries - want).max() < 1e-10
+    assert len(op.meta["grid"]) == 2 and op.meta["identity_residual"] <= 5e-6
+
+
+def _closed_form_differences(cfg, out, summary):
+    # each rung difference's bound is the growth of the rung bound
+    assert summary["all_steps_within_bound"] is True
+    assert summary["route_residual"] < 1e-12
+    lines = (out / "report.csv").read_text().splitlines()
+    rows = list(csv.DictReader(l for l in lines if not l.startswith("#")))
+    cv = [float(r["cv_bound"]) for r in rows]
+    for r, a, b in zip(rows[1:], cv, cv[1:]):
+        assert abs(float(r["diff_bound"]) - (b - a)) < 1e-12 * (b - a)
+
+
+# per case: the command, its config, the route record in summary.json and
+# the check on the output; the lattice's JSON bytes, real dtype, zero
+# parity-odd block and norm are checked on the same matrix in test_quantize.py
+_W = [[0.8, -0.3], [-0.5, 0.6], [0.2, 0.9], [-1.1, -0.2]]
+_CLI_CHECKS = {
+    "mehler-80": ("quantize", _quantize({"family": "quadratic", "T": np.eye(2).tolist(),
+                                         "t": 0.3}, "weyl", 80),
+                  {"route": "gaussian"}, _mehler),
+    "antiwick-dim3": ("quantize", _quantize(_full_rank_quadratic(), "antiwick", 6),
+                      {"route": "gaussian"}, _positive_contraction),
+    "oracle-dim1": ("quantize", _quantize(_measure(
+        _W, [[0.9], [-0.7], [0.3], [1.3]], [[-0.4], [1.1], [0.6], [-1.2]]),
+        "weyl_classical", 8), {"route": "atoms", "atoms": 4}, _matches_weyl),
+    "oracle-dim2": ("quantize", _quantize(_measure(
+        _W, [[0.9, -0.6], [-0.7, 0.3], [0.3, 1.2], [1.3, -0.5]],
+        [[-0.4, 0.5], [1.1, -0.2], [0.6, 0.8], [-1.2, 0.1]]),
+        "weyl_classical", 4), {"route": "atoms", "atoms": 4}, _matches_weyl),
+    "oracle-dim3": ("quantize", _quantize(_measure(
+        [[0.7, -0.4], [-0.3, 0.5]], [[0.8, -0.5, 0.3], [-0.4, 1.0, -0.7]],
+        [[-0.6, 0.4, 0.9], [0.5, -0.8, 0.2]]),
+        "weyl_classical", 3), {"route": "atoms", "atoms": 2}, _matches_weyl),
+    "lattice-4": ("quantize", _quantize(_LATTICE_03, "weyl", 4), {"route": "chain"}, None),
+    "ladder-5": ("converge", {"symbol": _LATTICE_03, "h": H, "degree": 5},
+                 {"rung_routes": ["chain"] * 4, "error_bar_route": "chain"},
+                 _closed_form_differences),
+}
+
+
+@pytest.mark.parametrize("case", list(_CLI_CHECKS))
+def test_construction_through_the_cli(tmp_path, case):
+    command, cfg, route, check = _CLI_CHECKS[case]
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, "c.json", {**cfg, "out": str(out)})
+    assert run_cli([command, "--config", path]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert {k: summary.get(k) for k in route} == route
+    if check is not None:
+        check(cfg, out, summary)

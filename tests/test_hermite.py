@@ -15,7 +15,6 @@ from gweyl import (
     coherent_state,
     constant_rep,
     gamma_map,
-    gauss_quadrature,
     leb_coherent_state,
     multi_indices,
     project,
@@ -253,33 +252,23 @@ def test_leb_coherent_norm_and_gamma_relation(rng):
 
 
 def test_leb_coherent_resolution_of_identity():
-    # (2 pi h)^-1 int <f, Psi_X><Psi_X, g> dX = <f, g> for low-degree pairs
+    # (2 pi h)^-1 int <f, Psi_X><Psi_X, g> dX = <f, g> for low-degree pairs;
+    # each L^2(lambda) inner product is a trapezoid rule on [-10, 10], taken
+    # for all 61^2 phase points X at once
     h = 1.0
     basis = HermiteBasis(1, h, 3)
-    rule = gauss_quadrature(1, h / 2, 80)
-
-    def leb_inner(u_fun, v_fun, half=10.0, n=301):
-        xs = np.linspace(-half, half, n)
-        vals = np.asarray(u_fun(xs[:, None])) * np.conj(np.asarray(v_fun(xs[:, None])))
-        return np.trapezoid(vals, xs)
-
-    reps = [basis_element(basis, [k]) for k in range(3)]
-    half = 6.0
-    npts = 61
-    grid = np.linspace(-half, half, npts)
+    xs = np.linspace(-10.0, 10.0, 301)
+    grid = np.linspace(-6.0, 6.0, 61)
     dA = (grid[1] - grid[0]) ** 2
-    for f in reps[:2]:
-        for g in reps[:2]:
-            total = 0.0
-            for a in grid:
-                for bb in grid:
-                    psi = leb_coherent_state(PhasePoint([a], [bb]), h)
-                    fa = leb_inner(lambda u: np.asarray(gamma_map(f, u)), psi)
-                    ag = leb_inner(psi, lambda u: np.asarray(gamma_map(g, u)))
-                    total += fa * ag
-            total *= dA / (2 * math.pi * h)
-            want = f.inner(g)
-            assert abs(total - want) < 1e-4
+    psis = np.array([leb_coherent_state(PhasePoint([a], [bb]), h)(xs[:, None])
+                     for a in grid for bb in grid])
+    reps = [basis_element(basis, [k]) for k in range(2)]
+    for f in reps:
+        fa = np.trapezoid(gamma_map(f, xs[:, None]) * psis.conj(), xs, axis=1)
+        for g in reps:
+            ag = np.trapezoid(psis * np.conj(gamma_map(g, xs[:, None])), xs, axis=1)
+            total = np.sum(fa * ag) * dA / (2 * math.pi * h)
+            assert abs(total - f.inner(g)) < 1e-4
 
 
 def test_function_rep_json_roundtrip():

@@ -31,12 +31,25 @@ MUTANTS = {
         "np.block([[1j * I, 1j * I], [I, -I]])",
         ["tests/test_quantize.py::test_gaussian_route_coupled_form_matches_dense"],
     ),
+    "gaussian-r-sign": (
+        "quantize.py",
+        "R = np.block([[O, I], [I, O]]) + B.T",
+        "R = np.block([[O, I], [I, O]]) - B.T",
+        ["tests/test_cli.py::test_construction_through_the_cli[mehler-80]",
+         "tests/test_cli.py::test_construction_through_the_cli[antiwick-dim3]"],
+    ),
     "gaussian-t-i-sign": (
         "heat.py",
         "((-1.0) ** len(J) * amp, A)",
         "(amp, A)",
         ["tests/test_heat.py::test_op_T_I_gaussian_is_inclusion_exclusion_of_smoothings",
          "tests/test_quantize.py::test_gaussian_ladder_coupled_3_sites_stays_closed_form"],
+    ),
+    "chain-t-i-sign": (
+        "symbols.py",
+        "sm = tuple(replace(e, coef=-e.coef) for e in smoothed)",
+        "sm = tuple(smoothed)",
+        ["tests/test_cli.py::test_construction_through_the_cli[ladder-5]"],
     ),
     "tail-without-square": (
         "quantize.py",
@@ -99,6 +112,21 @@ MUTANTS = {
         "sliding_window_view(V, nx, axis=1)[..., ::-1]",
         "sliding_window_view(V, nx, axis=1)",
         ["tests/test_quantize.py::test_classical_dim2_atoms_kron"],
+    ),
+    # the oracle's route record; hybrid_matrix writes the same line
+    "classical-no-route": (
+        "quantize.py",
+        'meta.update(route="atoms", atoms=int(c.size))\n    if D == 1:',
+        'meta.update(atoms=int(c.size))\n    if D == 1:',
+        [f"tests/test_cli.py::test_construction_through_the_cli[oracle-dim{d}]"
+         for d in (1, 2, 3)],
+    ),
+    "chain-no-route": (
+        "quantize.py",
+        'meta.update(route="chain", order=q)',
+        "meta.update(order=q)",
+        ["tests/test_cli.py::test_construction_through_the_cli[lattice-4]",
+         "tests/test_cli.py::test_construction_through_the_cli[ladder-5]"],
     ),
 }
 
