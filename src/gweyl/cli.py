@@ -117,17 +117,35 @@ def _integers(values, key: str) -> tuple:
     return tuple(_integer(v, f"each entry of {key}") for v in values)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _real(value, key: str) -> float:
+    """float(value) if it is a JSON number: a bool or a string exits 2."""
+    if not _is_number(value):
+        raise InputError(f"{key} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _reals(values, key: str) -> np.ndarray:
+    return np.array([_real(v, f"each entry of {key}") for v in values])
+
+
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise InputError(f"{key} must be a string, got {json.dumps(value)}")
+    return value
+
+
 @_reads_config
 def _option(cfg: dict, key: str, cast, default=_REQUIRED):
-    """cast(cfg[key]); the default when the key is absent or null.  The
-    integer casts, _integer and _integers, also take the key."""
+    """cast(cfg[key], key); the default when the key is absent or null."""
     if cfg.get(key) is None:
         if default is _REQUIRED:
             raise KeyError(key)
         return default
-    if cast in (_integer, _integers):
-        return cast(cfg[key], key)
-    return cast(cfg[key])
+    return cast(cfg[key], key)
 
 
 def _positive(cfg: dict, key: str, cast, default):
@@ -153,31 +171,31 @@ def load_symbol(spec: dict) -> SymbolDescriptor:
         raise InputError("symbol spec must be an object with a 'family' key")
     fam = spec["family"]
     if fam == "exponential":
-        return make_exponential(spec["a"], spec["b"])
+        return make_exponential(_reals(spec["a"], "a"), _reals(spec["b"], "b"))
     if fam == "constant":
         return make_constant(spec.get("value", 1.0), _integer(spec["dim"], "dim"))
     if fam == "fourier_measure":
         atoms = []
         for atom in spec["atoms"]:
             w = atom["weight"]
-            if isinstance(w, list) and len(w) == 2:
+            if isinstance(w, list) and len(w) == 2 and all(map(_is_number, w)):
                 w = complex(w[0], w[1])
-            elif isinstance(w, bool) or not isinstance(w, (int, float)):
+            elif not _is_number(w):
                 raise InputError("an atom weight must be a number or an [re, im] "
                                  f"pair, got {json.dumps(w)}")
-            atoms.append((w, np.asarray(atom["a"], float),
-                          np.asarray(atom["b"], float)))
+            atoms.append((w, _reals(atom["a"], "a"), _reals(atom["b"], "b")))
         return make_fourier_measure(atoms)
     if fam == "quadratic":
-        return make_quadratic(np.asarray(spec["T"], float), float(spec["t"]))
+        T = np.array([_reals(row, "T") for row in spec["T"]])
+        return make_quadratic(T, _real(spec["t"], "t"))
     if fam == "lattice":
         V = spec.get("V", "cos")
         if V != "cos":
             raise InputError("the CLI supports the cosine bond potential only")
         params = LatticeSymbolParams(
             d=_integer(spec.get("d", 1), "d"),
-            g=tuple(float(x) for x in spec["g"]),
-            t=float(spec.get("t", 1.0)),
+            g=tuple(_real(x, "each entry of g") for x in spec["g"]),
+            t=_real(spec.get("t", 1.0), "t"),
             V=V,
         )
         return make_lattice(params, _integer(spec.get("m", 2), "m"))
@@ -203,12 +221,12 @@ def _load_config(args) -> dict:
 
 @_reads_config
 def _basis_from(cfg: dict, dim: int) -> HermiteBasis:
-    return HermiteBasis(dim, float(cfg.get("h", 0.5)),
+    return HermiteBasis(dim, _real(cfg.get("h", 0.5), "h"),
                         _integer(cfg.get("degree", 8), "degree"))
 
 
 def _outdir(cfg: dict) -> str:
-    out = cfg.get("out", "gweyl-out")
+    out = _option(cfg, "out", _string, "gweyl-out")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -235,7 +253,7 @@ def cmd_quantize(cfg: dict) -> int:
         op = hybrid_matrix(sym, split, basis)
     elif method == "weyl_classical":
         op = weyl_matrix_classical(sym, basis,
-                                   _positive(cfg, "oversample", float, 3.5))
+                                   _positive(cfg, "oversample", _real, 3.5))
     else:
         raise InputError(f"unknown method {method!r}")
     op.meta.update(meta)
@@ -350,7 +368,7 @@ def cmd_wick(cfg: dict) -> int:
     basis = _basis_from(cfg, sym.dim)
     h = basis.h
     n_pts = _positive(cfg, "points", _integer, 20)
-    radius = _option(cfg, "radius", float, math.sqrt(h))
+    radius = _option(cfg, "radius", _real, math.sqrt(h))
     pts = quasi_ball(n_pts, 2 * sym.dim, radius, _seed(cfg))
     op = weyl_matrix(sym, basis)
     rows = []
@@ -382,7 +400,7 @@ def _load_rep(spec: dict, basis: HermiteBasis, key: str):
     if kind == "basis":
         return basis_element(basis, _integers(spec["alpha"], "alpha"))
     if kind == "coherent":
-        X = PhasePoint(np.asarray(spec["x"], float), np.asarray(spec["xi"], float))
+        X = PhasePoint(_reals(spec["x"], "x"), _reals(spec["xi"], "xi"))
         return coherent_state(X, basis.h, basis)
     if kind == "coeffs":
         return FunctionRep(basis, complex_from_pairs(spec["coeffs"]))
@@ -395,8 +413,8 @@ def cmd_wigner(cfg: dict) -> int:
     f = _load_rep(cfg.get("f", {"kind": "constant"}), basis, "f")
     g = _load_rep(cfg.get("g", cfg.get("f", {"kind": "constant"})), basis, "g")
     n = _positive(cfg, "grid_points", _integer, 21)
-    zmax = _option(cfg, "zmax", float, 2.0)
-    zetamax = _option(cfg, "zetamax", float, 2.0)
+    zmax = _option(cfg, "zmax", _real, 2.0)
+    zetamax = _option(cfg, "zetamax", _real, 2.0)
     if dim != 1:
         raise InputError("the plotting grid is 1-dim")
     zs, zetas = np.meshgrid(
@@ -415,9 +433,9 @@ def cmd_wigner(cfg: dict) -> int:
 
 def cmd_heat(cfg: dict) -> int:
     sym = load_symbol(cfg.get("symbol", {}))
-    t = _positive(cfg, "t", float, 0.25)
+    t = _positive(cfg, "t", _real, 0.25)
     n_pts = _positive(cfg, "points", _integer, 10)
-    pts = quasi_ball(n_pts, 2 * sym.dim, _option(cfg, "radius", float, 2.0),
+    pts = quasi_ball(n_pts, 2 * sym.dim, _option(cfg, "radius", _real, 2.0),
                      _seed(cfg))
     coords = _option(cfg, "coords", _integers, tuple(range(sym.dim)))
     G = smooth_symbol(sym, coords, t)
@@ -433,7 +451,7 @@ def cmd_heat(cfg: dict) -> int:
 def cmd_mc(cfg: dict) -> int:
     kind = cfg.get("experiment", "brownian")
     seed = _seed(cfg)
-    h = _option(cfg, "h", float, 0.5)
+    h = _option(cfg, "h", _real, 0.5)
     out = _outdir(cfg)
     meta = _metadata(cfg)
     if kind == "brownian":
@@ -446,8 +464,8 @@ def cmd_mc(cfg: dict) -> int:
         result = {"meta": meta, "endpoint_variance": var, "expected": h,
                   "z_score": z, "pass": z < SIGMA_FAIL}
     elif kind == "lattice_norm":
-        b_weights = _option(cfg, "b", lambda v: np.asarray(v, dtype=float))
-        rows = lattice_norm_probability(b_weights, _option(cfg, "eps", float), h,
+        b_weights = _option(cfg, "b", _reals)
+        rows = lattice_norm_probability(b_weights, _option(cfg, "eps", _real), h,
                                         _option(cfg, "ladder", _integers),
                                         _positive(cfg, "n", _integer, 100000), seed)
         write_csv(os.path.join(out, "lattice_norm.csv"), meta,
@@ -455,7 +473,7 @@ def cmd_mc(cfg: dict) -> int:
         worst = max(abs(mcv - exact) / max(se, 1e-12) for _, mcv, se, exact in rows)
         result = {"meta": meta, "worst_z": worst, "pass": worst < SIGMA_FAIL}
     elif kind == "integral":
-        a = _option(cfg, "a", lambda v: np.asarray(v, dtype=float), np.ones(1))
+        a = _option(cfg, "a", _reals, np.ones(1))
         n = _positive(cfg, "n", _integer, 100000)
         est, se = mc_integral(lambda x: np.exp(x @ a), a.shape[0], h, n, seed)
         want = exp_integral(a, h).real
@@ -547,7 +565,7 @@ def _verify_checks(seed: int):
 
 
 def cmd_verify(cfg: dict) -> int:
-    pattern = cfg.get("filter", "")
+    pattern = _option(cfg, "filter", _string, "")
     seed = _seed(cfg)
     checks = _verify_checks(seed)
     report = {}
@@ -564,7 +582,7 @@ def cmd_verify(cfg: dict) -> int:
               f"measured={measured:.3e} tol={tol:.1e}")
     if not report:
         raise InputError(f"no verify checks match filter {pattern!r}")
-    out = cfg.get("out")
+    out = _option(cfg, "out", _string, None)
     if out:
         os.makedirs(out, exist_ok=True)
         _write_json(os.path.join(out, "verify.json"),

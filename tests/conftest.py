@@ -101,3 +101,16 @@ def quadrature_smoothed(F, coords, t, order=None):
     return SymbolDescriptor(F.dim, f, name=f"H[{F.name}]", growth=F.growth,
                             poly_degree=F.poly_degree, sup_norm=F.sup_norm,
                             meta=dict(F.meta))
+
+
+# (identity, family): (residual / bound, residual, bound) of the worst case,
+# filled by test_routes.py
+ROUTE_WORST = {}
+
+
+def pytest_terminal_summary(terminalreporter):
+    if ROUTE_WORST:
+        terminalreporter.section("worst route-identity residuals")
+        for (identity, family), (_, worst, bound) in sorted(ROUTE_WORST.items()):
+            terminalreporter.write_line(f"{identity:10s} {family:9s} {worst:9.2e} "
+                                        f"(bound {bound:.0e})")

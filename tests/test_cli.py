@@ -634,14 +634,41 @@ def test_no_csv_contains_a_carriage_return(tmp_path):
      "each entry of split must be an integer, got 0.0"),
     ("wigner", {**SMALL["wigner"], "f": {"kind": "basis", "alpha": [1.0]}},
      "each entry of alpha must be an integer, got 1.0"),
+    ("quantize", {**SMALL["quantize"], "h": True}, "h must be a number, got true"),
+    ("quantize", {**SMALL["quantize"], "h": "0.5"}, 'h must be a number, got "0.5"'),
+    ("heat", {**SMALL["heat"], "t": True}, "t must be a number, got true"),
+    ("wick", {**SMALL["wick"], "radius": True}, "radius must be a number, got true"),
+    ("quantize", {**SMALL["quantize"], "symbol": {"family": "fourier_measure", "atoms": [
+        {"weight": [True, 1], "a": [0.5], "b": [0.2]}]}},
+     "an atom weight must be a number or an [re, im] pair, got [true, 1]"),
+    ("quantize", {**SMALL["quantize"], "method": "weyl_classical", "oversample": True},
+     "oversample must be a number, got true"),
+    ("quantize", {**SMALL["quantize"], "out": 5}, "out must be a string, got 5"),
+    ("verify", {**SMALL["verify"], "filter": 5}, "filter must be a string, got 5"),
+    ("mc", {**SMALL["mc"], "a": [[1]]}, "each entry of a must be a number, got [1]"),
+    ("wigner", {**SMALL["wigner"], "zmax": "2"}, 'zmax must be a number, got "2"'),
+    ("wigner", {**SMALL["wigner"], "f": {"kind": "coherent", "x": ["0.3"], "xi": [0.1]}},
+     'each entry of x must be a number, got "0.3"'),
+    ("quantize", {**SMALL["quantize"], "symbol": {**EXP_1D, "b": [False]}},
+     "each entry of b must be a number, got false"),
+    ("quantize", {**SMALL["quantize"], "symbol": {"family": "quadratic",
+                                                  "T": [[1, 0], [0, True]], "t": 1}},
+     "each entry of T must be a number, got true"),
+    ("quantize", {**SMALL["quantize"], "symbol": {**_LATTICE_03, "g": [0.5, "0.3"]}},
+     'each entry of g must be a number, got "0.3"'),
+    ("mc", {"experiment": "lattice_norm", "b": [1.0], "eps": True, "ladder": [1],
+            "n": 10}, "eps must be a number, got true"),
 ], ids=["grid_points-0", "grid_points-neg", "wick-points", "heat-points", "t-neg",
         "t-0", "oversample-0", "integral-n", "brownian-n", "brownian-K",
         "lattice_norm-n", "f-list", "g-string", "weight-triple", "degree-float",
         "degree-bool", "degree-string", "points-float", "lattice-m-float",
         "constant-dim-float", "quantize-seed-string", "split-entry-float",
-        "alpha-entry-float"])
+        "alpha-entry-float", "h-bool", "h-string", "t-bool", "radius-bool",
+        "weight-bool-pair", "oversample-bool", "out-int", "filter-int",
+        "integral-a-nested", "zmax-string", "x-entry-string", "b-entry-bool",
+        "T-entry-bool", "g-entry-string", "eps-bool"])
 def test_out_of_range_config_values_exit_2(tmp_path, capsys, command, cfg, message):
-    path = write_cfg(tmp_path, "c.json", {**cfg, "out": str(tmp_path / "out")})
+    path = write_cfg(tmp_path, "c.json", {"out": str(tmp_path / "out"), **cfg})
     assert run_cli([command, "--config", path]) == 2
     assert message in capsys.readouterr().err
 

@@ -12,7 +12,6 @@ from gweyl import (
     InputError,
     OperatorMatrix,
     PhasePoint,
-    antiwick_equals_smoothed_weyl_check,
     antiwick_matrix,
     coherent_overlap,
     coherent_state,
@@ -54,18 +53,6 @@ def random_trig_symbol(rng, dim=1, n_atoms=4, freq=2.0, positive=True):
         c = rng.uniform(0.05, 0.4) if positive else rng.normal()
         a = rng.uniform(-freq, freq, dim)
         atoms.append((c, a, rng.uniform(-freq, freq, dim)))
-    return make_fourier_measure(atoms)
-
-
-def real_trig_symbol(rng, dim=1, n_atoms=3, freq=2.0):
-    """Real-valued bounded symbol: conjugate-symmetric atom pairs."""
-    atoms = []
-    for _ in range(n_atoms):
-        c = rng.uniform(0.1, 0.5)
-        a = rng.uniform(-freq, freq, dim)
-        b = rng.uniform(-freq, freq, dim)
-        atoms.append((0.5 * c, a, b))
-        atoms.append((0.5 * c, -a, -b))
     return make_fourier_measure(atoms)
 
 
@@ -165,15 +152,6 @@ def test_classical_linear_symbol_is_multiplier_plus_derivative():
     assert np.abs(dense_weyl(lin, basis) - want).max() < 1e-8
 
 
-def test_classical_vs_form_random_bounded(rng):
-    basis = HermiteBasis(1, H, 8)
-    for _ in range(2):
-        F = random_trig_symbol(rng, positive=False)
-        Mc = weyl_matrix_classical(F, basis)
-        Mw = weyl_matrix(F, basis)
-        assert np.abs(Mc.entries - Mw.entries).max() < 1e-4
-
-
 def _classical_1d_xi_loop(F, basis, xs, wx, xis, wxi):
     # brute-force reference: F and the phase at every (x, y, xi) triple
     from gweyl.hermite import FunctionRep, gamma_map
@@ -250,15 +228,6 @@ def test_classical_phase_table_matches_direct_exponential():
             _classical_tables(basis, xs, wx, xis)
 
 
-def test_classical_matches_weyl_at_degree_16():
-    basis = HermiteBasis(1, H, 16)
-    F = make_exponential([0.7], [-0.4])
-    Mc = weyl_matrix_classical(F, basis)
-    Mw = weyl_matrix(F, basis)
-    assert np.abs(Mc.entries - Mw.entries).max() < 1e-10
-    assert (Mc.meta["route"], Mc.meta["atoms"]) == ("atoms", 1)
-
-
 def test_classical_identity_cache_is_bounded(monkeypatch):
     import gweyl.quantize as q
 
@@ -288,24 +257,6 @@ def _complex_atoms(rng, dim, n_atoms, freq=1.3):
     return make_fourier_measure([
         (complex(*rng.normal(size=2)), rng.uniform(-freq, freq, dim),
          rng.uniform(-freq, freq, dim)) for _ in range(n_atoms)])
-
-
-def _classical_atoms_match_weyl(rng, dim, degree, n_atoms):
-    basis = HermiteBasis(dim, H, degree)
-    F = _complex_atoms(rng, dim, n_atoms)
-    Mc = weyl_matrix_classical(F, basis)
-    Mw = weyl_matrix(F, basis)
-    assert np.abs(Mc.entries - Mw.entries).max() < 1e-12
-    assert (Mc.meta["route"], Mc.meta["atoms"]) == ("atoms", n_atoms)
-    assert len(Mc.meta["grid"]) == 2 and Mc.meta["identity_residual"] <= 5e-6
-
-
-def test_classical_dim2_atoms_kron(rng):
-    _classical_atoms_match_weyl(rng, 2, 4, 4)
-
-
-def test_classical_dim3_atoms_kron(rng):
-    _classical_atoms_match_weyl(rng, 3, 3, 2)
 
 
 def test_classical_atom_chunks_match_one_chunk(rng, monkeypatch):
@@ -382,21 +333,6 @@ def _random_psd(rng, n):
     return A @ A.T / n + 0.1 * np.eye(n)
 
 
-@pytest.mark.parametrize("selected", [(0, 1), (), (0,), (1,)])
-def test_gaussian_route_matches_dense_dim2(selected):
-    # the dense grid at order 40 resolves this symbol to about 1e-15: it
-    # differs from order 72 by at most 8.3e-16 over the four splits, and
-    # from the route by at most 1.5e-15
-    F = make_quadratic(_random_psd(np.random.default_rng(5), 4), 0.5)
-    basis = HermiteBasis(2, H, 3)
-    M = hybrid_matrix(F, CoordinateSplit(2, selected), basis)
-    modes = ["weyl" if j in selected else "aw" for j in range(2)]
-    want = assemble_dense(F, basis, modes, 40)
-    assert M.meta["route"] == "gaussian" and "nodes" not in M.meta
-    assert np.abs(M.entries - want).max() < 1e-13
-    assert not _odd_block(M.entries, basis).any()
-
-
 def test_gaussian_route_degenerate_forms():
     # T = 0: R pairs s with t only, so the recurrence writes the identity
     I = weyl_matrix(make_quadratic(np.zeros((2, 2)), 1.0), HermiteBasis(1, H, 6))
@@ -419,20 +355,6 @@ def test_gaussian_route_degenerate_forms():
     want = np.kron(antiwick_matrix(F1, b1).entries, np.eye(5))
     assert np.abs(M2.entries - want).max() < 1e-14
     assert not _odd_block(M2.entries, b2).any()
-
-
-@pytest.mark.parametrize("method", [weyl_matrix, antiwick_matrix])
-def test_gaussian_route_coupled_form_matches_dense(method):
-    # a z-zeta coupling makes R's off-diagonal blocks depend on the sign of
-    # the zeta part of the atoms' exponent, which a diagonal form cannot see
-    F = make_quadratic(np.array([[1.0, 0.4], [0.4, 0.8]]), 0.5)
-    basis = HermiteBasis(1, H, 8)
-    M = method(F, basis)
-    mode = "weyl" if method is weyl_matrix else "aw"
-    want = assemble_dense(F, basis, [mode], 120)
-    assert M.meta["route"] == "gaussian"
-    assert np.abs(want.imag).max() > 1e-2
-    assert np.abs(M.entries - want).max() < 1e-13
 
 
 def test_gaussian_route_matches_dense_dim2_degree_20():
@@ -586,39 +508,9 @@ def test_antiwick_identity_and_quadratic_moment():
     assert M[0, 0] == pytest.approx(H, rel=1e-10)
 
 
-def test_antiwick_spectral_contraction(rng):
-    basis = HermiteBasis(1, H, 10)
-    for _ in range(5):
-        F = random_trig_symbol(rng, positive=True)
-        assert operator_norm(antiwick_matrix(F, basis)) <= F.sup_norm + 1e-6
-
-
-def test_antiwick_equals_smoothed_weyl():
-    basis = HermiteBasis(1, H, 10)
-    assert antiwick_equals_smoothed_weyl_check(make_constant(1.0, 1), basis) < 1e-8
-    F = make_exponential([1.3], [-0.8])
-    assert antiwick_equals_smoothed_weyl_check(F, basis) < 1e-5
-    rng = np.random.default_rng(41)
-    G = random_trig_symbol(rng, positive=False)
-    assert antiwick_equals_smoothed_weyl_check(G, basis) < 1e-4
-
-
 # ---------------------------------------------------------------------------
 # hybrid operators
 # ---------------------------------------------------------------------------
-
-def test_hybrid_edge_splits(rng):
-    basis = HermiteBasis(1, H, 10)
-    F = random_trig_symbol(rng)
-    Mw = weyl_matrix(F, basis)
-    Ma = antiwick_matrix(F, basis)
-    assert np.array_equal(
-        hybrid_matrix(F, CoordinateSplit(1, (0,)), basis).entries, Mw.entries
-    )
-    assert np.array_equal(
-        hybrid_matrix(F, CoordinateSplit(1, ()), basis).entries, Ma.entries
-    )
-
 
 def test_dense_dim2_blocks_match_kron_of_dim1(monkeypatch):
     # a separable generic symbol: the blocked dim-2 grid must reproduce the
@@ -866,55 +758,6 @@ def test_chain_route_is_real_with_an_exact_zero_odd_block(degree):
         assert np.abs(M.entries - _reference_chain(F, basis, modes)).max() <= 1e-15
 
 
-@pytest.mark.parametrize("selected", [(0, 1), (), (0,)])
-def test_chain_route_matches_dense_route(selected):
-    # A weak coupling keeps the Bessel series short (nmax = 7), so the dense
-    # order-48 grid resolves the symbol; measured max entry difference
-    # 8.3e-15 (Weyl), 1.3e-15 (anti-Wick), 4.6e-15 (hybrid) on entries <= 0.94.
-    # The 1-site lattice (no bonds) takes the same chain_contract route, and
-    # its reference grid has 80 nodes per variable.
-    import dataclasses
-
-    for g in ((0.3, 0.2), (0.3,)):
-        D = len(g)
-        F = make_lattice(LatticeSymbolParams(d=1, g=g, t=0.5, V="cos"), 2)
-        dense = dataclasses.replace(F, chain=None)
-        basis = HermiteBasis(D, H, 3)
-        split = CoordinateSplit(D, tuple(j for j in selected if j < D))
-        got = hybrid_matrix(F, split, basis).entries
-        modes = ["weyl" if j in split.selected else "aw" for j in range(D)]
-        want = assemble_dense(dense, basis, modes, 48 if D == 2 else 80)
-        assert np.abs(got - want).max() < 1e-12
-
-
-def test_hybrid_tensor_factorization():
-    basis2 = HermiteBasis(2, H, 5)
-    basis1 = HermiteBasis(1, H, 5)
-    F2 = make_exponential([1.1, 0.4], [0.7, -0.3])
-    Mh = hybrid_matrix(F2, CoordinateSplit(2, (0,)), basis2)
-    w0 = weyl_matrix(make_exponential([1.1], [0.7]), basis1).entries
-    a1 = antiwick_matrix(make_exponential([0.4], [-0.3]), basis1).entries
-    want = np.kron(w0, a1)
-    assert np.abs(Mh.entries - want).max() < 1e-5
-
-
-def test_hybrid_nesting(rng):
-    # hybrid on E1 equals hybrid on E2 of the symbol smoothed over E2 - E1
-    basis = HermiteBasis(2, H, 5)
-    F = random_trig_symbol(rng, dim=2)
-    lhs = hybrid_matrix(F, CoordinateSplit(2, (0,)), basis)
-    G = smooth_symbol(F, [1], H / 2)
-    rhs = hybrid_matrix(G, CoordinateSplit(2, (0, 1)), basis)
-    assert np.abs(lhs.entries - rhs.entries).max() < 1e-5
-
-
-def test_hermiticity_of_real_symbols(rng):
-    basis = HermiteBasis(1, H, 10)
-    F = real_trig_symbol(rng)
-    assert weyl_matrix(F, basis).hermiticity_defect() < 1e-6
-    assert antiwick_matrix(F, basis).hermiticity_defect() < 1e-6
-
-
 # ---------------------------------------------------------------------------
 # translation-phase oracle and Fourier measures
 # ---------------------------------------------------------------------------
@@ -988,32 +831,6 @@ def test_oracle_U_coherent_matrix_elements():
     assert abs(got - want) < 1e-5
 
 
-def test_quantize_fourier_measure_norm_and_aw_damping(rng):
-    # the operator of a finitely supported Fourier measure, sum c_k U(a_k, b_k)
-    def measure_sum(points):
-        return sum(complex(c) * oracle_U(a, b, H, basis).entries
-                   for c, a, b in points)
-
-    basis = HermiteBasis(1, H, 10)
-    atoms = [(rng.uniform(0.1, 0.5) * np.exp(1j * rng.uniform(0, 6.28)),
-              rng.uniform(-2, 2, 1), rng.uniform(-2, 2, 1)) for _ in range(4)]
-    M = measure_sum(atoms)
-    mass = sum(abs(c) for c, _, _ in atoms)
-    assert operator_norm(M) <= mass + 1e-6
-    single = measure_sum(atoms[:1])
-    U = oracle_U(atoms[0][1], atoms[0][2], H, basis)
-    assert np.abs(single - atoms[0][0] * U.entries).max() < 1e-12
-    # positive-quantization route equals the damped-atom operator sum
-    F = make_fourier_measure(atoms)
-    damped = [
-        (c * math.exp(-0.25 * H * float(a @ a + b @ b)), a, b)
-        for c, a, b in atoms
-    ]
-    lhs = antiwick_matrix(F, basis)
-    rhs = measure_sum(damped)
-    assert np.abs(lhs.entries - rhs).max() < 1e-5
-
-
 # ---------------------------------------------------------------------------
 # coherent-diagonal symbol of an operator
 # ---------------------------------------------------------------------------
@@ -1023,18 +840,6 @@ def test_wick_symbol_identity_operator():
     I = OperatorMatrix(basis, np.eye(basis.size))
     for X in [PhasePoint([0.0], [0.0]), PhasePoint([0.4], [-0.3])]:
         assert wick_symbol(I, X) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_wick_symbol_of_weyl_operator_is_smoothed_symbol(rng):
-    basis = HermiteBasis(1, H, 16)
-    F = random_trig_symbol(rng, positive=False)
-    op = weyl_matrix(F, basis)
-    for _ in range(5):
-        X = PhasePoint(rng.uniform(-0.7, 0.7, 1) * math.sqrt(H),
-                       rng.uniform(-0.7, 0.7, 1) * math.sqrt(H))
-        left = wick_symbol(op, X)
-        right = heat_full(F, 0.5 * H, X)
-        assert abs(left - right) < 1e-4
 
 
 def test_wick_symbol_of_oracle_U():
