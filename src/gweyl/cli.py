@@ -462,16 +462,16 @@ def cmd_mc(cfg: dict) -> int:
         var = float(np.var(ens.paths[:, -1]))
         z = abs(var - h) / (h * math.sqrt(2.0 / n))
         result = {"meta": meta, "endpoint_variance": var, "expected": h,
-                  "z_score": z, "pass": z < SIGMA_FAIL}
+                  "z_score": z, "pass": bool(z < SIGMA_FAIL)}
     elif kind == "lattice_norm":
         b_weights = _option(cfg, "b", _reals)
-        rows = lattice_norm_probability(b_weights, _option(cfg, "eps", _real), h,
+        rows = lattice_norm_probability(b_weights, _positive(cfg, "eps", _real, _REQUIRED), h,
                                         _option(cfg, "ladder", _integers),
                                         _positive(cfg, "n", _integer, 100000), seed)
         write_csv(os.path.join(out, "lattice_norm.csv"), meta,
                   ["sites", "mc", "stderr", "exact"], rows)
         worst = max(abs(mcv - exact) / max(se, 1e-12) for _, mcv, se, exact in rows)
-        result = {"meta": meta, "worst_z": worst, "pass": worst < SIGMA_FAIL}
+        result = {"meta": meta, "worst_z": worst, "pass": bool(worst < SIGMA_FAIL)}
     elif kind == "integral":
         a = _option(cfg, "a", _reals, np.ones(1))
         n = _positive(cfg, "n", _integer, 100000)
@@ -479,7 +479,7 @@ def cmd_mc(cfg: dict) -> int:
         want = exp_integral(a, h).real
         z = abs(est - want) / max(se, 1e-12)
         result = {"meta": meta, "estimate": est, "stderr": se, "closed_form": want,
-                  "z_score": z, "pass": z < SIGMA_FAIL}
+                  "z_score": z, "pass": bool(z < SIGMA_FAIL)}
     else:
         raise InputError(f"unknown mc experiment {kind!r}")
     print(_write_json(os.path.join(out, "mc.json"), result))
@@ -634,6 +634,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
+        if _option(cfg, "out", _string, None) == "":  # before any work is done
+            raise InputError('out must be a non-empty path, got ""')
         return COMMANDS[args.command](cfg)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ResourceError
+from .errors import InputError, NumericalError, ResourceError
 
 DEFAULT_MAX_NODES = 6_000_000
 SAMPLE_CHUNK = 1 << 16
@@ -132,46 +132,50 @@ class QuadratureRule:
         return self.weights @ np.asarray(f(self.nodes))
 
 
-# scipy's switch from Golub-Welsch to the asymptotic rule in roots_hermite
-_GOLUB_WELSCH_MAX = 150
-
-
 @functools.lru_cache(maxsize=256)
 def _hermite_roots(order: int):
     """Gauss-Hermite nodes and weights for exp(-t^2), weights summing to 1.
 
-    Bit for bit ``scipy.special.roots_hermite(order)`` with its weights
-    divided by sqrt(pi).  Up to order 150 scipy takes the eigenvalues of the
-    Jacobi matrix from ``scipy.linalg.eigvals_banded``, whose import alone
-    costs a process about 6 MB of memory and 60 ms; numpy's ``eigvalsh`` of
-    the dense matrix gives the same nodes after scipy's one Newton step, and
-    scipy's weight formula and symmetrisation follow on the ``eval_hermite``
-    ufunc.  The switch stays at 150 because scipy switches there: above it
-    ``roots_hermite`` takes an asymptotic rule, accurate in relative terms for
-    the tiny outer weights and free of ``scipy.linalg``, so both sides match
-    scipy exactly.
+    Nodes >= 0 take Newton steps on the orthonormal e_n, e_n' = sqrt(2n)
+    e_(n-1), from Tricomi's asymptotic formula until each moves s <= 1e-8 /
+    sqrt(n).  The weights 1 / (n e_(n-1)^2) at each node's last point, moved
+    onto it to first order (e_(n-1)' = 2t e_(n-1) at a root of e_n), are
+    formed in logs; the node is then off by about |t| s^2, its log weight by
+    2 n s^2.  The recurrence is divided by 1e100 wherever it passes 1e100 (a
+    step grows it at most 1 + sqrt(2)|t| fold).  O(n) memory, O(n^2) time.
     """
-    from scipy.special import eval_hermite, roots_hermite
-
-    if order > _GOLUB_WELSCH_MAX:
-        t, w = roots_hermite(order)
-        return t, w / math.sqrt(math.pi)
-    t = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1, order) / 2.0), -1))
-    dy = 2.0 * order * eval_hermite(order - 1, t)
-    t -= eval_hermite(order, t) / dy
-    # scipy scales both factors of H_{n-1}(t) H_n'(t) to a mid-range
-    # magnitude before the product
-    fm = eval_hermite(order - 1, t)
-    for v in (fm, dy):
-        logs = np.log(np.abs(v))
-        v /= np.exp((logs.max() + logs.min()) / 2.0)
-    w = 1.0 / (fm * dy)
-    w = (w + w[::-1]) / 2
-    t = (t - t[::-1]) / 2
-    # scaled to sum sqrt(pi) first, as scipy does: w / w.sum() differs in
-    # the last bit at most orders
-    w *= math.sqrt(math.pi) / w.sum()
-    return t, w / math.sqrt(math.pi)
+    nu = 2.0 * order + 1.0
+    c = (4.0 * np.arange(order // 2, 0, -1) - 1.0) * math.pi / nu
+    tau = np.cbrt(6.0 * c)  # tau - sin(tau) = c, from below the root
+    for _ in range(12):
+        tau -= (tau - np.sin(tau) - c) / (1.0 - np.cos(tau))
+    s = np.cos(tau / 2.0) ** 2
+    t = np.sqrt(nu * s - (1.25 / (1.0 - s) ** 2 - 1.0 / (1.0 - s) - 0.25) / (3.0 * nu))
+    t = np.concatenate([np.zeros(order % 2), t])
+    log_w = np.empty_like(t)
+    todo = np.arange(t.size)
+    for _ in range(10):
+        x = t[todo]
+        prev, cur, log_s = np.zeros_like(x), np.full_like(x, math.pi ** -0.25), np.zeros_like(x)
+        for k in range(order):
+            prev, cur = cur, math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1)) * prev
+            if k % 8 == 0:
+                big = np.maximum(np.abs(prev), np.abs(cur)) > 1e100
+                prev[big] *= 1e-100
+                cur[big] *= 1e-100
+                log_s[big] += 100.0 * math.log(10.0)
+        step = cur / (math.sqrt(2.0 * order) * prev)
+        t[todo] = x - step
+        log_w[todo] = -2.0 * (np.log(np.abs(prev)) + log_s - 2.0 * x * step)
+        todo = todo[np.abs(step) > 1e-8 / math.sqrt(order)]
+        if todo.size == 0:
+            break
+    if todo.size or not np.all(np.diff(t) > 0):
+        raise NumericalError(f"Gauss-Hermite nodes of order {order} did not converge")
+    w = np.exp(log_w - log_w.max())
+    t = np.concatenate([-t[order % 2:][::-1], t])
+    w = np.concatenate([w[order % 2:][::-1], w])
+    return t, w / w.sum()
 
 
 def gauss_hermite_1d(order: int, variance: float):
@@ -232,13 +236,11 @@ def exp_integral(a, h: float) -> complex:
 
 def ell_abs_moment(a, p: float, h: float) -> float:
     """Closed form int |l_a|^p dmu_h = (2h)^(p/2) pi^(-1/2) |a|^p Gamma((p+1)/2)."""
-    from scipy.special import gamma
-
     if p < 1:
         raise InputError(f"p must be >= 1, got {p}")
     a = np.atleast_1d(np.asarray(a, dtype=float))
     norm = float(np.linalg.norm(a))
-    return (2.0 * h) ** (0.5 * p) / math.sqrt(math.pi) * norm**p * gamma(0.5 * (p + 1))
+    return (2.0 * h) ** (0.5 * p) / math.sqrt(math.pi) * norm**p * math.gamma(0.5 * (p + 1))
 
 
 def _pairings(indices):

@@ -453,27 +453,29 @@ class LatticeSymbolParams:
 def _bessel_coeffs(c: float, bond: int) -> np.ndarray:
     """Fourier coefficients of exp(-c cos(theta)): a_n = (-1)^n I_n(c).
 
-    The series stops at the first I_n(c) below BESSEL_TOL * I_0(c), about
-    sqrt(2 c ln(1/BESSEL_TOL)) terms.
+    I_n(c) from Miller's recurrence I_(n-1) = I_(n+1) + (2n/c) I_n, started
+    above the cut, divided by 1e100 wherever it passes 1e100 and normalised
+    in logs by I_0 + 2 sum I_n = e^c.  The series stops at the first I_n(c)
+    below BESSEL_TOL * max(I_0(c), 1), about sqrt(2 c ln(1/BESSEL_TOL)) terms.
     """
-    from scipy.special import iv
-
-    base = float(iv(0, c))
-    if not math.isfinite(base):
+    if c < 2e-15:  # I_1(c) ~ c/2 is below BESSEL_TOL: the series is I_0 = 1
+        return np.ones(1)
+    log_i0 = math.inf
+    if c < 720.0:  # above, I_0(c) ~ e^c / sqrt(2 pi c) overflows; False for nan
+        top = int(c + 60.0 + 10.0 * math.sqrt(c + 1.0))
+        r = np.zeros(top + 2)
+        r[top] = 1.0
+        for n in range(top, 0, -1):
+            r[n - 1] = r[n + 1] + 2.0 * n / c * r[n]
+            if r[n - 1] > 1e100:
+                r[n - 1:] *= 1e-100
+        log_i0 = c + math.log(r[0] / (r[0] + 2.0 * r[1:].sum()))
+    if log_i0 > np.log(np.finfo(float).max):
         raise InputError(f"bond {bond}: coupling 2 t g_j g_(j+1) = {c} overflows I_0")
-    coeffs = [base]
-    n = 1
-    while True:
-        val = float(iv(n, c))
-        if val < BESSEL_TOL * max(base, 1.0):
-            break
-        coeffs.append(val)
-        n += 1
-    nmax = len(coeffs) - 1
-    out = np.zeros(2 * nmax + 1)
-    for k in range(-nmax, nmax + 1):
-        out[k + nmax] = (-1.0) ** k * coeffs[abs(k)]
-    return out
+    i_n = math.exp(log_i0) * (r / r[0])
+    nmax = int(np.argmax(i_n < BESSEL_TOL * max(i_n[0], 1.0))) - 1
+    k = np.arange(-nmax, nmax + 1)
+    return (-1.0) ** k * i_n[np.abs(k)]
 
 
 def _zeta_sup_deriv_const(m: int) -> float:
@@ -651,13 +653,14 @@ def quasi_ball(n: int, dim: int, radius: float, seed: int = 0) -> np.ndarray:
 
     The points come from the Owen-scrambled Halton sequence in dim + 1
     coordinates (``_scrambled_halton``, identical to scipy's for the same
-    seed): dim Gaussian coordinates give the direction, the last one the
-    radius.
+    seed): dim Gaussian coordinates, the normal quantiles of the first dim,
+    give the direction, the last one the radius.
     """
-    from scipy.special import ndtri
+    from statistics import NormalDist  # with decimal and fractions: a few ms
 
     u = _scrambled_halton(n, dim + 1, seed)
-    dirs = ndtri(np.clip(u[:, :dim], 1e-12, 1 - 1e-12))
+    quantile = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
+    dirs = quantile(np.clip(u[:, :dim], 1e-12, 1 - 1e-12)).astype(float)
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     radial = radius * u[:, dim:] ** (1.0 / dim)

@@ -132,12 +132,17 @@ def test_lattice_custom_potential_requires_bounds():
     assert F(z, z)[0] == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("c", [10.0, 60.0, 120.0])
+@pytest.mark.parametrize("c", [0.0, 1e-120, 1e-20, 1.9e-15, 3e-15, 1e-10, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 35.0, 60.0,
+                               90.0, 120.0, 200.0, 300.0, 450.0, 600.0, 700.0])
 def test_bessel_series_stops_on_the_tolerance(c):
+    # scipy's iv is the reference: the same cut, I_0 to 2e-13 and every kept
+    # coefficient to 1e-12 relative (measured worst: 5.4e-14 and 2.3e-13)
     coeffs = _bessel_coeffs(c, 0)
     nmax = len(coeffs) // 2
-    assert coeffs[nmax] == iv(0, c)
-    assert iv(nmax + 1, c) < BESSEL_TOL * iv(0, c)
+    ref = np.array([iv(abs(k), c) * (-1.0) ** k for k in range(-nmax, nmax + 1)])
+    assert abs(coeffs[nmax] - ref[nmax]) <= 2e-13 * ref[nmax]
+    assert np.all(np.abs(coeffs - ref) <= 1e-12 * np.abs(ref))
+    assert iv(nmax, c) >= BESSEL_TOL * iv(0, c) > iv(nmax + 1, c)
 
 
 def test_lattice_bond_overflowing_i0_is_an_input_error():

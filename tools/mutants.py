@@ -95,9 +95,35 @@ MUTANTS = {
     ),
     "hermite-no-newton": (
         "gaussian.py",
-        "t -= eval_hermite(order, t) / dy",
-        "pass",
-        ["tests/test_gaussian.py::test_hermite_roots_are_scipy_roots_hermite_bit_for_bit"],
+        "t[todo] = x - step",
+        "t[todo] = x",
+        ["tests/test_gaussian.py::test_hermite_roots_agree_with_scipy_roots_hermite"],
+    ),
+    "christoffel-weight": (
+        "gaussian.py",
+        "log_w[todo] = -2.0 * (np.log(np.abs(prev)) + log_s - 2.0 * x * step)",
+        "log_w[todo] = -(np.log(np.abs(prev)) + log_s - 2.0 * x * step)",
+        ["tests/test_gaussian.py::test_hermite_roots_agree_with_scipy_roots_hermite"],
+    ),
+    "hermite-weight-unmoved": (
+        "gaussian.py",
+        "+ log_s - 2.0 * x * step)",
+        "+ log_s)",
+        ["tests/test_gaussian.py::test_hermite_roots_agree_with_scipy_roots_hermite",
+         "tests/test_gaussian.py::test_hermite_roots_at_high_order_stay_in_linear_memory"],
+    ),
+    "hermite-loose-newton": (
+        "gaussian.py",
+        "todo = todo[np.abs(step) > 1e-8 / math.sqrt(order)]",
+        "todo = todo[np.abs(step) > 1e-5 / math.sqrt(order)]",
+        ["tests/test_gaussian.py::test_hermite_roots_agree_with_scipy_roots_hermite",
+         "tests/test_gaussian.py::test_hermite_roots_at_high_order_stay_in_linear_memory"],
+    ),
+    "bessel-normalisation": (
+        "symbols.py",
+        "r[0] + 2.0 * r[1:].sum()",
+        "r[0] + r[1:].sum()",
+        ["tests/test_symbols.py::test_bessel_series_stops_on_the_tolerance"],
     ),
     "atom-damping": (
         "quantize.py",
